@@ -1,8 +1,13 @@
 """#SAT by tensor contraction: the count is the value of a closed network.
 
-Each variable becomes a COPY spider, each literal and clause a Boolean
-gate, and summing over all assignments is closing every variable wire
-with the unnormalized <+|.
+Each clause becomes one clause tensor: 1 on every assignment of its
+variables except the single one that falsifies it, where it is 0.  A
+clause wider than 3 is split into a chain of order-3 pieces passing on a
+"satisfied so far" flag.  Each variable becomes a COPY spider that hands
+its value to every clause it appears in; a spider with many legs is split
+into a chain of order-3 COPY tensors (spider fusion read backwards), so
+no tensor in the network has more than 3 wires.  Summing over all assignments is
+closing every variable wire with the unnormalized <+|.
 """
 
 import tensornet as tn
@@ -18,6 +23,9 @@ p cnf 3 3
 
 f = tn.parse_dimacs(dimacs)
 result = tn.count_sat(f)
+net = tn.formula_to_network(f)
+print("network:", len(net.nodes), "tensors, largest order",
+      max(len(t.wires) for t in net.nodes.values()))
 print("contraction count:", result.count, " raw:", result.raw)
 print("brute force:", tn.brute_force_sat(f))
 

@@ -1,8 +1,10 @@
 """Command-line front end: counting, MPS compression, and invariant
 evaluation over the package's text file formats.
 
-Exit codes: 0 success, 2 input error, 3 numerical failure, 4 oracle
-mismatch.  Set ``TNET_LOG`` (debug/info/warning) for log verbosity.
+Exit codes: 0 success, 2 input error (including a contraction refused as
+too large), 3 numerical failure or out of memory, 4 oracle mismatch.  Set
+``TNET_LOG`` (debug/info/warning) for log verbosity; ``debug`` logs the
+network size, plan peak and contraction time of every count.
 """
 
 from __future__ import annotations
@@ -222,6 +224,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except (NonIntegralError, DegenerateTrimError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_NUMERICAL
     except (TensorError, SizeLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

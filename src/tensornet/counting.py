@@ -1,9 +1,20 @@
 """Counting by full tensor contraction: satisfying assignments of CNF
 formulas, and proper 3-edge-colorings of 3-regular graphs, each with a
-brute-force oracle."""
+brute-force oracle.
+
+A CNF formula becomes one clause tensor per clause (1 except 0 at the
+clause's falsifying assignment; a chain of order-3 pieces for clauses wider
+than 3) joined to a chain of order-3 COPY tensors per variable; a graph
+becomes one order-3 epsilon per node.  Counts are logged at DEBUG level on
+the ``tensornet`` logger with the network size, the plan peak and the
+contraction time.
+"""
 
 from __future__ import annotations
 
+import logging
+import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,9 +22,11 @@ import numpy as np
 from . import catalog
 from .errors import NonIntegralError, ParseError, ShapeError, SizeLimitError
 from .network import TensorNetwork
-from .tensor import LOWER, Tensor, WireSpec, raise_wire
+from .tensor import LOWER, UPPER, Tensor, WireSpec, raise_wire
 
 INTEGER_TOL = 1e-6
+
+log = logging.getLogger("tensornet")
 
 SAT_GUARD_VARS = 24
 COLOR_GUARD_EDGES = 20
@@ -124,59 +137,92 @@ def _flip(t: Tensor) -> Tensor:
     return Tensor(np.conj(t.data), [WireSpec(w.label, w.dim, w.flavor.flipped()) for w in t.wires])
 
 
-def _formula_layer(net: TensorNetwork, f: CnfFormula, bra: bool) -> list[tuple[int, str]]:
-    """Add the logic-gate network of f to ``net``.
+def _or_table(positive: list[bool]) -> np.ndarray:
+    """0/1 table over len(positive) bits, 0 only where every bit is false:
+    0 for a positive literal, 1 for a negated one."""
+    data = np.ones((2,) * len(positive), dtype=complex)
+    data[tuple(0 if p else 1 for p in positive)] = 0.0
+    return data
 
-    Returns one open variable end per variable (the state wires of |f>).
-    With ``bra=True`` every tensor is flavor-flipped, producing <f|.
+
+def _clause_pieces(clause: tuple[int, ...]) -> list[tuple[range, Tensor]]:
+    """Tensors of order <= 3 whose contraction is the clause tensor (1 on
+    every assignment except the single falsifying one, where it is 0), each
+    with the clause positions it reads on its LOWER wires ``i<j>``.
+
+    A clause of width w <= 3 is one such tensor.  A wider clause is a chain
+    of w - 2 pieces joined by a dimension-2 flag, 1 once some earlier
+    literal is true: the first piece reads literals 0 and 1 and emits the
+    flag on ``s1``; each middle piece reads the flag on ``s0`` and one
+    literal and emits the updated flag; the last piece reads the flag and
+    the final two literals and is 0 only when all three are false.
+    """
+    w = len(clause)
+    if w <= 3:
+        groups = [range(w)]
+    else:
+        groups = [range(0, 2)] + [range(j, j + 1) for j in range(2, w - 2)] + [range(w - 2, w)]
+    pieces = []
+    for g, js in enumerate(groups):
+        flag_in, flag_out = g > 0, g < len(groups) - 1
+        # the incoming flag reads like a positive literal
+        data = _or_table([clause[j] > 0 for j in js] + ([True] if flag_in else []))
+        wires = [WireSpec(f"i{j}", 2, LOWER) for j in js] + ([WireSpec("s0", 2, LOWER)] if flag_in else [])
+        if flag_out:
+            data = np.stack([1 - data, data], axis=-1)
+            wires.append(WireSpec("s1", 2, UPPER))
+        pieces.append((js, Tensor(data, wires)))
+    return pieces
+
+
+def _formula_layer(net: TensorNetwork, f: CnfFormula, bra: bool) -> list[tuple[int, str]]:
+    """Add the clause-tensor network of f to ``net``.
+
+    Every clause is one clause tensor, or for clauses wider than 3 a chain
+    of order-3 pieces (see ``_clause_pieces``).  A variable with k >= 2
+    occurrences is a chain of order-3 COPY tensors (the spider-fusion
+    identity read backwards), so no node has more than 3 wires:
+    ``copy_tensor(3, 0)`` first, then k - 2 links of ``copy_tensor(2, 1)``.
+    A variable with k <= 1 occurrences is a single ``copy_tensor(k + 1, 0)``.
+    The chain carries the open state wire plus one feed per occurrence,
+    bonded to the clause wires in clause order.
+
+    Returns one open variable end per variable, in variable order (the
+    state wires of |f>).  With ``bra=True`` every tensor is flavor-flipped,
+    producing <f|.
     """
 
     def node(t: Tensor) -> int:
         return net.add(_flip(t) if bra else t)
 
-    def pair(src, dst):
-        # src is an output end, dst an input end (reversed for the bra layer)
-        net.connect(src, dst)
-
-    occurrences: dict[int, int] = {v: 0 for v in range(1, f.num_vars + 1)}
+    occurrences = [0] * (f.num_vars + 1)
     for clause in f.clauses:
         for lit in clause:
             occurrences[abs(lit)] += 1
 
-    # one COPY spider per variable: one open state wire + one per occurrence
-    var_ends: dict[int, int] = {}
-    feeds: dict[int, list[tuple[int, str]]] = {}
     open_ends = []
+    feeds = {}
     for v in range(1, f.num_vars + 1):
         k = occurrences[v]
-        nid = node(catalog.copy_tensor(n_out=k + 1, n_in=0))
-        var_ends[v] = nid
-        feeds[v] = [(nid, f"o{j}") for j in range(1, k + 1)]
+        head = min(k, 2)
+        nid = node(catalog.copy_tensor(n_out=head + 1, n_in=0))
         open_ends.append((nid, "o0"))
+        ends = [(nid, f"o{j}") for j in range(1, head + 1)]
+        for _ in range(k - 2):
+            nid = node(catalog.copy_tensor(n_out=2, n_in=1))
+            net.connect(ends.pop(), (nid, "i0"))
+            ends += [(nid, "o0"), (nid, "o1")]
+        feeds[v] = iter(ends)
 
-    def literal_end(lit: int) -> tuple[int, str]:
-        end = feeds[abs(lit)].pop()
-        if lit < 0:
-            n = node(catalog.not_tensor())
-            pair(end, (n, "i0"))
-            return (n, "o0")
-        return end
-
-    def fold(gate_factory, ends):
-        acc = ends[0]
-        for nxt in ends[1:]:
-            g = node(gate_factory())
-            pair(acc, (g, "i0"))
-            pair(nxt, (g, "i1"))
-            acc = (g, "o0")
-        return acc
-
-    clause_outs = [fold(catalog.or_tensor, [literal_end(l) for l in clause]) for clause in f.clauses]
-    if clause_outs:
-        out = fold(catalog.and_tensor, clause_outs)
-        one = Tensor([0, 1], [WireSpec("b", 2, LOWER)])
-        n1 = node(one)
-        pair(out, (n1, "b"))
+    for clause in f.clauses:
+        prev = None
+        for js, t in _clause_pieces(clause):
+            cid = node(t)
+            if prev is not None:
+                net.connect((prev, "s1"), (cid, "s0"))
+            for j in js:
+                net.connect(next(feeds[abs(clause[j])]), (cid, f"i{j}"))
+            prev = cid
     return open_ends
 
 
@@ -207,16 +253,32 @@ def boolean_norm_value(f: CnfFormula) -> complex:
     bra_ends = _formula_layer(net, f, bra=True)
     for ke, be in zip(ket_ends, bra_ends):
         net.connect(ke, be)
-    return net.contract_all().item()
+    return _contract(net, "boolean_norm_value")
 
 
-def count_sat(f: CnfFormula) -> CountResult:
-    """Number of satisfying assignments by contracting the closed network."""
-    raw = formula_to_network(f).contract_all().item()
+def _contract(net: TensorNetwork, what: str) -> complex:
+    """Plan and contract a closed network; log its size, plan peak and
+    contraction time at DEBUG level."""
+    plan = net.greedy_plan()
+    start = time.perf_counter()
+    value = net.contract_all(plan).item()
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("%s: %d nodes, %d bonds, plan peak 2^%.1f elements, contract %.6f s",
+                  what, len(net.nodes), len(net.bonds), math.log2(plan.peak_size), time.perf_counter() - start)
+    return value
+
+
+def _count(net: TensorNetwork, what: str) -> CountResult:
+    raw = _contract(net, what)
     result = CountResult.from_raw(raw)
     if not result.integral:
         raise NonIntegralError(f"contraction value {raw} is not close to an integer")
     return result
+
+
+def count_sat(f: CnfFormula) -> CountResult:
+    """Number of satisfying assignments by contracting the closed network."""
+    return _count(formula_to_network(f), "count_sat")
 
 
 def brute_force_sat(f: CnfFormula) -> int:
@@ -227,8 +289,9 @@ def brute_force_sat(f: CnfFormula) -> int:
     pos_masks = []
     neg_masks = []
     for clause in f.clauses:
-        pos_masks.append(sum(1 << (l - 1) for l in clause if l > 0))
-        neg_masks.append(sum(1 << (-l - 1) for l in clause if l < 0))
+        lits = set(clause)  # a repeated literal must not add its bit twice
+        pos_masks.append(sum(1 << (l - 1) for l in lits if l > 0))
+        neg_masks.append(sum(1 << (-l - 1) for l in lits if l < 0))
     total = 0
     chunk = 1 << 20
     for start in range(0, 1 << n, chunk):
@@ -349,11 +412,7 @@ def count_3_edge_colorings(g: Graph, node_orders: list[list[int]] | None = None)
     planar attachment order; for other inputs the raw value is a signed
     sum that can undercount (planarity is not verified here).
     """
-    raw = coloring_network(g, node_orders).contract_all().item()
-    result = CountResult.from_raw(raw)
-    if not result.integral:
-        raise NonIntegralError(f"contraction value {raw} is not close to an integer")
-    return result
+    return _count(coloring_network(g, node_orders), "count_3_edge_colorings")
 
 
 def brute_force_colorings(g: Graph) -> int:

@@ -9,10 +9,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import catalog
-from .errors import ShapeError, WireError
+from .errors import ShapeError, SizeLimitError, WireError
 from .tensor import LOWER, UPPER, Tensor, WireSpec, conjugate, raise_wire
 
 End = tuple[int, str]  # (node id, wire label)
+
+# Largest array, in elements, that contract_all may create (1 GiB of
+# complex128); a plan that needs more is refused before any work.
+MAX_ELEMENTS = 2**26
 
 
 @dataclass
@@ -34,6 +38,7 @@ class TensorNetwork:
     def __init__(self):
         self._nodes: dict[int, Tensor] = {}
         self._bonds: list[tuple[End, End]] = []
+        self._bonded: set[End] = set()
         self._next_id = 0
 
     def add(self, t: Tensor) -> int:
@@ -62,58 +67,78 @@ class TensorNetwork:
             raise WireError(f"bond {end_a}-{end_b}: dims {wa.dim} != {wb.dim}")
         if wa.flavor is wb.flavor:
             raise WireError(f"bond {end_a}-{end_b}: both wires are {wa.flavor.value}")
-        for bond in self._bonds:
-            if end_a in bond or end_b in bond:
-                raise WireError(f"wire already bonded: {end_a if end_a in bond else end_b}")
+        for end in (end_a, end_b):
+            if end in self._bonded:
+                raise WireError(f"wire already bonded: {end}")
         self._bonds.append((end_a, end_b))
+        self._bonded.update((end_a, end_b))
 
     def open_wires(self) -> list[End]:
-        bonded = {e for bond in self._bonds for e in bond}
         out = []
         for nid in sorted(self._nodes):
             for w in self._nodes[nid].wires:
-                if (nid, w.label) not in bonded:
+                if (nid, w.label) not in self._bonded:
                     out.append((nid, w.label))
         return out
 
     # -- contraction ---------------------------------------------------
 
+    def _sizes_and_cuts(self) -> tuple[dict[int, int], dict[int, dict[int, int]]]:
+        """Size in elements of every node after its self-loops are traced,
+        and for every node the product of its bond dimensions to each
+        neighbor."""
+        sizes = {nid: t.data.size for nid, t in self._nodes.items()}
+        cuts: dict[int, dict[int, int]] = {nid: {} for nid in self._nodes}
+        for (na, la), (nb, _) in self._bonds:
+            d = self._wire((na, la)).dim
+            if na == nb:  # self-loop: trace shrinks the node, no pair merge
+                sizes[na] //= d * d
+            else:
+                cuts[na][nb] = cuts[nb][na] = cuts[na].get(nb, 1) * d
+        return sizes, cuts
+
+    @staticmethod
+    def _merge_sizes(sizes: dict[int, int], cuts: dict[int, dict[int, int]], a: int, b: int) -> int:
+        """Merge bonded nodes a and b in ``sizes`` and ``cuts`` (the smaller
+        id keeps the result, as in contraction); return the merged size."""
+        keep, drop = min(a, b), max(a, b)
+        cut = cuts[a].pop(b)
+        del cuts[b][a]
+        sizes[keep] = sizes[a] * sizes[b] // (cut * cut)
+        del sizes[drop]
+        for other, d in cuts.pop(drop).items():
+            del cuts[other][drop]
+            cuts[keep][other] = cuts[other][keep] = cuts[keep].get(other, 1) * d
+        return sizes[keep]
+
     def greedy_plan(self) -> ContractionPlan:
         """Deterministic greedy ordering: repeatedly merge the bonded pair
         whose contraction yields the smallest tensor, ties broken by the
         lowest (node id, node id) pair."""
-        sizes = {}
-        for nid, t in self._nodes.items():
-            sizes[nid] = math.prod(w.dim for w in t.wires) or 1
-        rep = {nid: nid for nid in self._nodes}
-        pair_dims: dict[tuple[int, int], list[int]] = {}
-        for (na, la), (nb, lb) in self._bonds:
-            a, b = sorted((na, nb))
-            d = self._wire((na, la)).dim
-            if a == b:  # self-loop: trace shrinks the node, no pair merge
-                sizes[a] //= d * d
-            else:
-                pair_dims.setdefault((a, b), []).append(d)
+        sizes, cuts = self._sizes_and_cuts()
         plan = ContractionPlan(peak_size=max(sizes.values(), default=1))
-        while pair_dims:
-            best = None
-            for (a, b), ds in pair_dims.items():
-                cut = math.prod(ds)
-                new_size = sizes[a] * sizes[b] // (cut * cut)
-                key = (new_size, a, b)
-                if best is None or key < best:
-                    best = key
-            new_size, a, b = best
+        while True:
+            best = min(
+                ((sizes[a] * sizes[b] // (cut * cut), a, b) for a, nbrs in cuts.items() for b, cut in nbrs.items() if a < b),
+                default=None,
+            )
+            if best is None:
+                return plan
+            _, a, b = best
             plan.merges.append((a, b))
-            plan.peak_size = max(plan.peak_size, new_size)
-            sizes[a] = new_size
-            del sizes[b], pair_dims[(a, b)]
-            for (x, y) in list(pair_dims):
-                if b in (x, y):
-                    other = x if y == b else y
-                    na, nb = sorted((a, other))
-                    pair_dims.setdefault((na, nb), []).extend(pair_dims.pop((x, y)))
-        return plan
+            plan.peak_size = max(plan.peak_size, self._merge_sizes(sizes, cuts, a, b))
+
+    def plan_peak(self, merges: list[tuple[int, int]]) -> int:
+        """Largest tensor, in elements, among the nodes and the results of
+        the given merges.  Counting stops at the first merge of a missing
+        or unbonded pair, where contraction raises."""
+        sizes, cuts = self._sizes_and_cuts()
+        peak = max(sizes.values(), default=1)
+        for a, b in merges:
+            if b not in cuts.get(a, {}):
+                break
+            peak = max(peak, self._merge_sizes(sizes, cuts, a, b))
+        return peak
 
     def contract_all(self, plan: ContractionPlan | None = None) -> Tensor:
         """Contract every bond; open wires survive in declared order.
@@ -121,12 +146,23 @@ class TensorNetwork:
         Disconnected components are combined by tensor product (scalars
         multiply).  The result does not depend on the plan beyond floating
         point rounding.
+
+        Raises ``SizeLimitError`` before contracting anything when a merge
+        of the plan (given or computed), sized from the node shapes by
+        ``plan_peak``, or the tensor product of the disconnected pieces,
+        needs more than ``MAX_ELEMENTS`` elements.
         """
         if not self._nodes:
             return Tensor(np.array(1.0 + 0.0j), [])
         if plan is None:
             plan = self.greedy_plan()
         open_order = self.open_wires()
+        need = max(self.plan_peak(plan.merges), math.prod(self._wire(end).dim for end in open_order))
+        if need > MAX_ELEMENTS:
+            raise SizeLimitError(
+                f"contraction needs a {need}-element tensor (2^{math.log2(need):.1f}), "
+                f"over the limit of 2^{math.log2(MAX_ELEMENTS):.0f} elements"
+            )
 
         arrays = {nid: t.data for nid, t in self._nodes.items()}
         keys = {nid: [(nid, w.label) for w in t.wires] for nid, t in self._nodes.items()}

@@ -2,6 +2,8 @@
 
 import json
 import math
+import random
+import time
 
 import numpy as np
 import pytest
@@ -88,6 +90,39 @@ def test_count_sat_parse_error_exit_2(tmp_path, capsys):
 
 def test_count_sat_missing_file_exit_2(tmp_path, capsys):
     assert main(["count-sat", str(tmp_path / "nope.cnf")]) == 2
+
+
+def random_3sat_text(num_vars, num_clauses, seed):
+    r = random.Random(seed)
+    lines = [f"p cnf {num_vars} {num_clauses}"]
+    for _ in range(num_clauses):
+        lines.append(" ".join(str(v if r.random() < 0.5 else -v) for v in r.sample(range(1, num_vars + 1), 3)) + " 0")
+    return "\n".join(lines) + "\n"
+
+
+def test_count_sat_dense_six_variable_formula(tmp_path, capsys):
+    f = write(tmp_path, "f.cnf", random_3sat_text(6, 25, 1))
+    assert main(["count-sat", f, "--brute-force", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["match"] is True
+
+
+def test_count_sat_oversized_is_refused_exit_2(tmp_path, capsys):
+    f = write(tmp_path, "big.cnf", random_3sat_text(30, 128, 1))
+    t0 = time.perf_counter()
+    assert main(["count-sat", f]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.startswith("error: contraction needs")
+
+
+def test_memory_error_exit_3(tmp_path, capsys, monkeypatch):
+    def exhausted(formula):
+        raise MemoryError
+
+    monkeypatch.setattr(tn.counting, "count_sat", exhausted)
+    f = write(tmp_path, "f.cnf", "p cnf 2 1\n1 2 0\n")
+    assert main(["count-sat", f]) == 3
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def test_json_and_human_agree(tmp_path, capsys):

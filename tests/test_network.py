@@ -35,6 +35,12 @@ def test_connect_validation():
     net.connect((a, "x"), (b, "y"))
     with pytest.raises(tn.WireError):
         net.connect((a, "x"), (b, "y"))  # wire already bonded
+    d = net.add(tn.bra([0, 1], labels=["w"]))
+    with pytest.raises(tn.WireError, match=r"wire already bonded: \(0, 'x'\)"):
+        net.connect((a, "x"), (d, "w"))
+    with pytest.raises(tn.WireError, match=r"wire already bonded: \(1, 'y'\)"):
+        net.connect((c, "z"), (b, "y"))
+    assert net.open_wires() == [(c, "z"), (d, "w")]
 
 
 def test_contract_matrix_chain():
@@ -90,6 +96,48 @@ def test_greedy_plan_covers_all_bonds_and_is_deterministic():
     assert len(p1.merges) == 3
     expect = np.trace(np.linalg.multi_dot([net.nodes[i].data for i in ids]))
     assert net.contract_all(p1).item() == pytest.approx(expect)
+
+
+def test_contract_refuses_plans_over_the_element_limit(monkeypatch):
+    # x -- a == c and x -- b == d, where == is a dimension-2^14 bond: the
+    # greedy plan closes the wide bonds first; merging x, a and b first
+    # needs a 2^28-element tensor
+    big = 2**14
+    up, low = tn.UPPER, tn.LOWER
+    net = tn.TensorNetwork()
+    x = net.add(tn.Tensor(np.ones((2, 2)), [tn.WireSpec("p", 2, low), tn.WireSpec("q", 2, low)]))
+    a = net.add(tn.Tensor(np.ones((2, big)), [tn.WireSpec("p", 2, up), tn.WireSpec("c", big, up)]))
+    b = net.add(tn.Tensor(np.ones((2, big)), [tn.WireSpec("q", 2, up), tn.WireSpec("d", big, up)]))
+    c = net.add(tn.Tensor(np.ones(big), [tn.WireSpec("c", big, low)]))
+    d = net.add(tn.Tensor(np.ones(big), [tn.WireSpec("d", big, low)]))
+    for end_a, end_b in [((x, "p"), (a, "p")), ((x, "q"), (b, "q")), ((a, "c"), (c, "c")), ((b, "d"), (d, "d"))]:
+        net.connect(end_a, end_b)
+    plan = net.greedy_plan()
+    assert net.plan_peak(plan.merges) == plan.peak_size == 2 * big
+    assert net.contract_all(plan).item() == 4 * big**2
+
+    bad = tn.network.ContractionPlan(merges=[(x, a), (x, b), (x, c), (x, d)])  # peak_size left at 0
+    assert net.plan_peak(bad.merges) == big**2
+    for merges in ([(c, d)], [(x, 99)]):  # unbonded, missing: sized up to there, then refused by contraction
+        assert net.plan_peak(merges) == 2 * big
+        with pytest.raises(tn.WireError):
+            net.contract_all(tn.network.ContractionPlan(merges=merges))
+
+    def no_tensordot(*args, **kwargs):
+        raise AssertionError("contracted before the size check")
+
+    monkeypatch.setattr(np, "tensordot", no_tensordot)
+    with pytest.raises(tn.SizeLimitError):
+        net.contract_all(bad)
+
+
+def test_contract_refuses_an_oversized_product_of_pieces():
+    # 27 disconnected qubit kets: no merge, but a 2^27-element result
+    net = tn.TensorNetwork()
+    for _ in range(27):
+        net.add(tn.ket([1, 1]))
+    with pytest.raises(tn.SizeLimitError):
+        net.contract_all()
 
 
 def test_plan_merge_keeps_smaller_id():
