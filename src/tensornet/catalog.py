@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, check_elements
 from .tensor import LOWER, UPPER, Tensor, WireSpec, matrix
 
 _SQRT2 = math.sqrt(2.0)
@@ -87,6 +87,7 @@ def copy_tensor(n_out: int, n_in: int = 1) -> Tensor:
     n = n_out + n_in
     if n < 1:
         raise ShapeError("copy_tensor needs at least one wire")
+    check_elements(2, n, "copy_tensor")
     data = np.zeros((2,) * n, dtype=complex)
     data[(0,) * n] = 1.0
     data[(1,) * n] = 1.0
@@ -98,6 +99,7 @@ def xor_tensor(n_in: int, n_out: int = 1) -> Tensor:
     n = n_out + n_in
     if n < 1:
         raise ShapeError("xor_tensor needs at least one wire")
+    check_elements(2, n, "xor_tensor")
     data = np.zeros((2,) * n, dtype=complex)
     for bits in itertools.product(range(2), repeat=n):
         if sum(bits) % 2 == 0:
@@ -128,6 +130,7 @@ def epsilon(n: int) -> Tensor:
     """
     if n < 2:
         raise ShapeError("epsilon needs n >= 2")
+    check_elements(n, n, "epsilon")
     data = np.zeros((n,) * n, dtype=complex)
     for perm in itertools.permutations(range(n)):
         data[perm] = _perm_sign(perm)
@@ -156,6 +159,7 @@ def antisymmetrizer(n: int, d: int) -> Tensor:
     (1/n!) sum over permutations sigma of sign(sigma) times the
     corresponding permutation tensor.  Identically zero when d < n.
     """
+    check_elements(d, 2 * n, "antisymmetrizer")
     data = np.zeros((d,) * (2 * n), dtype=complex)
     for perm in itertools.permutations(range(n)):
         sign = _perm_sign(perm)

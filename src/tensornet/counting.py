@@ -25,6 +25,7 @@ from .network import TensorNetwork
 from .tensor import LOWER, UPPER, Tensor, WireSpec, raise_wire
 
 INTEGER_TOL = 1e-6
+EXACT_LIMIT = 2**53  # complex128 holds every integer below this exactly
 
 log = logging.getLogger("tensornet")
 
@@ -270,6 +271,8 @@ def _contract(net: TensorNetwork, what: str) -> complex:
 
 def _count(net: TensorNetwork, what: str) -> CountResult:
     raw = _contract(net, what)
+    if abs(raw) >= EXACT_LIMIT:
+        raise NonIntegralError(f"contraction value {raw} is at or above 2^53, where complex128 counts are not exact")
     result = CountResult.from_raw(raw)
     if not result.integral:
         raise NonIntegralError(f"contraction value {raw} is not close to an integer")
@@ -277,7 +280,11 @@ def _count(net: TensorNetwork, what: str) -> CountResult:
 
 
 def count_sat(f: CnfFormula) -> CountResult:
-    """Number of satisfying assignments by contracting the closed network."""
+    """Number of satisfying assignments by contracting the closed network.
+
+    The contraction runs in complex128, so counts are exact only below
+    2^53; a value at or above that raises ``NonIntegralError``.
+    """
     return _count(formula_to_network(f), "count_sat")
 
 
@@ -410,7 +417,8 @@ def count_3_edge_colorings(g: Graph, node_orders: list[list[int]] | None = None)
 
     Correctness as a *count* is only guaranteed for planar graphs with a
     planar attachment order; for other inputs the raw value is a signed
-    sum that can undercount (planarity is not verified here).
+    sum that can undercount (planarity is not verified here).  As for
+    :func:`count_sat`, a value at or above 2^53 raises ``NonIntegralError``.
     """
     return _count(coloring_network(g, node_orders), "count_3_edge_colorings")
 

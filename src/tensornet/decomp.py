@@ -75,25 +75,25 @@ class SvdResult:
 def _fix_phases(u: np.ndarray, v_dag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Make the largest-magnitude entry of each left singular vector real
     positive (ties break toward the lowest index)."""
-    u = u.copy()
-    v_dag = v_dag.copy()
-    for k in range(u.shape[1]):
-        col = u[:, k]
-        i = int(np.argmax(np.abs(col)))
-        a = col[i]
-        if abs(a) > 0:
-            phase = a / abs(a)
-            u[:, k] *= np.conj(phase)
-            v_dag[k, :] *= phase
-    return u, v_dag
+    cols = np.arange(u.shape[1])
+    a = u[np.argmax(np.abs(u), axis=0), cols]  # argmax picks the lowest index on ties
+    mag = np.abs(a)
+    phase = np.divide(a, mag, out=np.ones_like(a), where=mag > 0)
+    return u * np.conj(phase), v_dag * phase[:, np.newaxis]
 
 
 def svd_matrix(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD of a 2-D array with the package's fixed phase convention."""
+    # LAPACK is markedly slower on wide inputs than on their transpose, so
+    # a wide matrix is factored on its tall side: m.T = u s v_dag gives
+    # m = v_dag.T s u.T.
+    wide = m.shape[0] < m.shape[1]
     try:
-        u, s, v_dag = np.linalg.svd(m, full_matrices=False)
+        u, s, v_dag = np.linalg.svd(m.T if wide else m, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
         raise ArithmeticError(f"SVD backend failed: {exc}") from exc
+    if wide:
+        u, v_dag = v_dag.T, u.T
     u, v_dag = _fix_phases(u, v_dag)
     return u, s, v_dag
 

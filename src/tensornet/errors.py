@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one element limit
+on dense arrays that both the catalog and the contraction engine enforce."""
+
+# Largest array, in elements, that the package builds (1 GiB of complex128).
+MAX_ELEMENTS = 2**26
 
 
 class TensorError(ValueError):
@@ -32,3 +36,15 @@ class ParseError(ValueError):
 
 class SizeLimitError(ValueError):
     """Operation refused because the input exceeds its size guard."""
+
+
+def check_elements(dim: int, order: int, what: str) -> None:
+    """Refuse a dense array of ``order`` axes of dimension ``dim`` that
+    would hold more than ``MAX_ELEMENTS`` elements, before it is built."""
+    # order >= bit_length already exceeds the limit for dim >= 2; checking
+    # it first keeps dim ** order small for huge orders
+    if dim > 1 and (order >= MAX_ELEMENTS.bit_length() or dim**order > MAX_ELEMENTS):
+        raise SizeLimitError(
+            f"{what} would have {dim}^{order} elements, over the limit of "
+            f"2^{MAX_ELEMENTS.bit_length() - 1} elements"
+        )

@@ -3,8 +3,11 @@ truncation with quantified error, amplitude evaluation, named states, and
 bond entropies.
 
 Cores are order-3 arrays with axes (left bond, physical, right bond).
-The factorization sweep runs left to right and absorbs the singular
-values into the right factor at every step.
+Factorization and compression share one left-to-right SVD/trim sweep that
+absorbs the kept singular values into the right factor at every cut.
+Overlaps and norms are zipper contractions: a 2-index environment per
+boundary pair, grown site by site at O(D^2 chi^3 d) per site (D the ring
+bond, 1 for open chains), so no chi^4 array is ever built.
 """
 
 from __future__ import annotations
@@ -89,15 +92,34 @@ def mps_from_dense(state: Tensor, policy: TrimPolicy | None = None) -> tuple[MPS
     if any(w.flavor is not UPPER for w in state.wires):
         raise ShapeError("mps_from_dense expects a ket (all wires UPPER)")
     dims = [w.dim for w in state.wires]
-    n = len(dims)
+    cores, weights, dropped = _trim_sweep(state.data.reshape(1, -1), dims, policy)
+    m = MPS(cores)
+    if policy is not None:
+        nrm = norm(m)
+        if nrm > 0:
+            cores[-1] = cores[-1] / nrm
+    fid = abs(inner_dense(m, state)) ** 2 / max(np.linalg.norm(state.data) ** 2, 1e-300)
+    bound = _fidelity_bound(policy, weights, dropped)
+    return m, CompressionReport(m.bond_dims, tuple(weights), bound, float(fid), tuple(dropped))
+
+
+def _trim_sweep(block: np.ndarray, dims: Sequence[int], policy: TrimPolicy | None,
+                tail: Sequence[np.ndarray] | None = None) -> tuple[list[np.ndarray], list[float], list[int]]:
+    """Left-to-right SVD sweep that trims every cut.
+
+    ``block`` holds the first site and everything right of it with the
+    left bond as its first axis.  At each cut the kept ``s . v_dag`` carry
+    becomes the rest of the state; if ``tail`` (the cores right of the
+    first) is given, it is absorbed into the next core instead.
+    ``policy=None`` keeps every singular value above the numerical rank.
+    Returns the cores, the discarded weight and the dropped count per cut.
+    """
     cores: list[np.ndarray] = []
     weights: list[float] = []
     dropped: list[int] = []
-    v = state.data.reshape(1, -1)
-    rank = 1
-    for k in range(n - 1):
-        m = v.reshape(rank * dims[k], -1)
-        u, s, v_dag = svd_matrix(m)
+    for k in range(len(dims) - 1):
+        rank = block.shape[0]
+        u, s, v_dag = svd_matrix(block.reshape(rank * dims[k], -1))
         if policy is None:
             # exact up to numerical rank: zero singular values carry nothing
             keep = max(int(np.sum(s > RANK_TOL * s[0])), 1) if s.size else 1
@@ -106,16 +128,10 @@ def mps_from_dense(state: Tensor, policy: TrimPolicy | None = None) -> tuple[MPS
         weights.append(float(np.sum(s[keep:] ** 2)))
         dropped.append(s.size - keep)
         cores.append(u[:, :keep].reshape(rank, dims[k], keep))
-        v = s[:keep, np.newaxis] * v_dag[:keep, :]
-        rank = keep
-    cores.append(v.reshape(rank, dims[-1], 1))
-    m = MPS(cores)
-    nrm = norm(m)
-    if policy is not None and nrm > 0:
-        cores[-1] = cores[-1] / nrm
-    fid = abs(inner_dense(m, state)) ** 2 / max(np.linalg.norm(state.data) ** 2, 1e-300)
-    bound = _fidelity_bound(policy, weights, dropped)
-    return m, CompressionReport(m.bond_dims, tuple(weights), bound, float(fid), tuple(dropped))
+        carry = s[:keep, np.newaxis] * v_dag[:keep, :]
+        block = carry if tail is None else np.tensordot(carry, tail[k], axes=(1, 0))
+    cores.append(block.reshape(-1, dims[-1], 1))
+    return cores, weights, dropped
 
 
 def _fidelity_bound(policy: TrimPolicy | None, weights: list[float], dropped: list[int]) -> float:
@@ -160,21 +176,23 @@ def to_dense(m: MPS) -> Tensor:
 
 
 def inner(a: MPS, b: MPS) -> complex:
-    """<a|b> by the transfer-matrix ladder (no densification)."""
+    """<a|b> by the zipper contraction (no densification).
+
+    The environment has axes (la0, lb0, ra, rb): the ring bonds at the left
+    end stay open and the right bonds grow site by site, at O(D^2 chi^3 d)
+    per site for ring bonds D (1 on open chains).  Tracing the left ring
+    bonds against the right ones at the end closes either boundary.
+    """
     if a.phys_dims != b.phys_dims:
         raise ShapeError(f"physical dimensions differ: {a.phys_dims} vs {b.phys_dims}")
     if a.boundary != b.boundary:
         raise ShapeError("boundary conditions differ")
-    env = None  # ((la, lb), (ra, rb)) transfer product
+    la0, lb0 = a.cores[0].shape[0], b.cores[0].shape[0]
+    env = np.eye(la0 * lb0, dtype=complex).reshape(la0, lb0, la0, lb0)
     for ca, cb in zip(a.cores, b.cores):
-        step = np.einsum("apr,bps->abrs", np.conj(ca), cb)
-        if env is None:
-            env = step
-        else:
-            env = np.einsum("abcd,cdrs->abrs", env, step)
-    if a.boundary == PERIODIC:
-        return complex(np.einsum("abab->", env))
-    return complex(env[0, 0, 0, 0])
+        env = np.tensordot(env, np.conj(ca), axes=(2, 0))  # (la0, lb0, rb, p, ra)
+        env = np.tensordot(env, cb, axes=([2, 3], [0, 1]))  # (la0, lb0, ra, rb)
+    return complex(np.einsum("abab->", env))
 
 
 def inner_dense(m: MPS, state: Tensor) -> complex:
@@ -193,8 +211,9 @@ def ghz_mps(n: int, boundary: str = OPEN) -> MPS:
     """GHZ state (|0...0> + |1...1>)/sqrt(2).
 
     The natural reading of the trace formula is a periodic bond-2 chain of
-    identical diagonal cores; ``boundary=OPEN`` (the default) converts it
-    to open form by exact refactorization.
+    identical diagonal cores.  ``boundary=OPEN`` (the default) cuts the
+    ring: the first core is the row vector (|0>, |1>)/sqrt(2), the last the
+    column vector (|0>; |1>), with the diagonal cores between them.
     """
     if n < 2:
         raise ShapeError("ghz_mps needs n >= 2")
@@ -202,12 +221,12 @@ def ghz_mps(n: int, boundary: str = OPEN) -> MPS:
     core[0, 0, 0] = 1.0
     core[1, 1, 1] = 1.0
     cores = [core.copy() for _ in range(n)]
-    cores[0] = cores[0] / math.sqrt(2.0)
-    ring = MPS(cores, PERIODIC)
     if boundary == PERIODIC:
-        return ring
-    m, _ = mps_from_dense(to_dense(ring))
-    return m
+        cores[0] = cores[0] / math.sqrt(2.0)
+        return MPS(cores, PERIODIC)
+    cores[0] = core.sum(axis=0, keepdims=True) / math.sqrt(2.0)  # (1, 2, 2)
+    cores[-1] = core.sum(axis=2, keepdims=True)  # (2, 2, 1)
+    return MPS(cores, boundary)
 
 
 def w_mps(n: int) -> MPS:
@@ -316,17 +335,7 @@ def compress(m: MPS, policy: TrimPolicy) -> tuple[MPS, CompressionReport]:
         q_, rr = np.linalg.qr(mk.conj().T)
         cores[k] = q_.conj().T.reshape(-1, p, r)
         cores[k - 1] = np.tensordot(cores[k - 1], rr.conj().T, axes=(2, 0))
-    weights: list[float] = []
-    dropped: list[int] = []
-    for k in range(n - 1):
-        l, p, r = cores[k].shape
-        u, s, v_dag = svd_matrix(cores[k].reshape(l * p, r))
-        keep = policy.keep_count(s)
-        weights.append(float(np.sum(s[keep:] ** 2)))
-        dropped.append(s.size - keep)
-        cores[k] = u[:, :keep].reshape(l, p, keep)
-        carry = s[:keep, np.newaxis] * v_dag[:keep, :]
-        cores[k + 1] = np.tensordot(carry, cores[k + 1], axes=(1, 0))
+    cores, weights, dropped = _trim_sweep(cores[0], m.phys_dims, policy, tail=cores[1:])
     out = MPS(cores)
     nrm = norm(out)
     if nrm > 0:

@@ -9,14 +9,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import catalog
-from .errors import ShapeError, SizeLimitError, WireError
+from .errors import MAX_ELEMENTS, ShapeError, SizeLimitError, WireError
 from .tensor import LOWER, UPPER, Tensor, WireSpec, conjugate, raise_wire
 
 End = tuple[int, str]  # (node id, wire label)
-
-# Largest array, in elements, that contract_all may create (1 GiB of
-# complex128); a plan that needs more is refused before any work.
-MAX_ELEMENTS = 2**26
 
 
 @dataclass

@@ -2,12 +2,13 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
 import tensornet as tn
-from tensornet import catalog
+from tensornet import catalog, errors, network
 
 
 def as_matrix(t, n_out, n_in):
@@ -130,3 +131,31 @@ def test_boolean_gates():
 def test_aklt_projector_is_isometry():
     p = tn.aklt_projector().data.reshape(3, 4)
     assert np.allclose(p @ p.conj().T, np.eye(3))
+
+
+def test_oversized_catalog_tensors_are_refused_before_allocating(monkeypatch):
+    def no_zeros(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(np, "zeros", no_zeros)
+    t0 = time.perf_counter()
+    for build in (lambda: catalog.copy_tensor(40), lambda: catalog.xor_tensor(40),
+                  lambda: catalog.epsilon(10), lambda: catalog.antisymmetrizer(7, 4),
+                  lambda: catalog.copy_tensor(10**9)):
+        with pytest.raises(tn.SizeLimitError, match="over the limit of 2\\^26"):
+            build()
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_catalog_limit_is_inclusive(monkeypatch):
+    assert network.MAX_ELEMENTS == errors.MAX_ELEMENTS == 2**26
+    monkeypatch.setattr(errors, "MAX_ELEMENTS", 2**4)
+    assert catalog.copy_tensor(3, 1).data.size == 2**4
+    assert catalog.xor_tensor(4, 0).data.size == 2**4
+    assert catalog.epsilon(2).data.size == 4
+    with pytest.raises(tn.SizeLimitError):
+        catalog.copy_tensor(4, 1)
+    with pytest.raises(tn.SizeLimitError):
+        catalog.epsilon(3)
+    with pytest.raises(tn.SizeLimitError):
+        catalog.antisymmetrizer(2, 3)

@@ -115,6 +115,12 @@ def test_count_sat_oversized_is_refused_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: contraction needs")
 
 
+def test_count_sat_past_exact_integers_exit_3(tmp_path, capsys):
+    f = write(tmp_path, "wide.cnf", "p cnf 60 1\n" + " ".join(map(str, range(1, 61))) + " 0\n")
+    assert main(["count-sat", f]) == 3
+    assert "2^53" in capsys.readouterr().err
+
+
 def test_memory_error_exit_3(tmp_path, capsys, monkeypatch):
     def exhausted(formula):
         raise MemoryError

@@ -162,6 +162,15 @@ def test_clause_wider_than_the_brute_force_guard():
     assert tn.count_sat(f).count == 2**40 - 1
 
 
+def test_counts_at_or_above_2_53_are_refused():
+    # complex128 rounds 2^60 - 1 to 2^60, which would pass as integral
+    with pytest.raises(tn.NonIntegralError, match="2\\^53"):
+        tn.count_sat(tn.CnfFormula(60, [tuple(range(1, 61))]))
+    with pytest.raises(tn.NonIntegralError):
+        tn.count_sat(tn.CnfFormula(53, []))
+    assert tn.count_sat(tn.CnfFormula(53, [tuple(range(1, 54))])).count == 2**53 - 1
+
+
 def mixed_width_formula(num_vars, seed):
     r = random.Random(seed)
     clauses = []

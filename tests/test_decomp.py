@@ -56,6 +56,20 @@ def test_svd_phase_convention():
     assert np.array_equal(u, u2) and np.array_equal(v, v2)
 
 
+@pytest.mark.parametrize("shape", [(6, 40), (40, 6)])
+def test_svd_matrix_wide_and_tall(shape):
+    m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    u, s, v = svd_matrix(m)
+    k = min(shape)
+    assert u.shape == (shape[0], k) and s.shape == (k,) and v.shape == (k, shape[1])
+    assert np.linalg.norm(u * s @ v - m) <= 1e-12 * np.linalg.norm(m)
+    assert np.all(np.diff(s) <= 0)
+    assert np.allclose(u.conj().T @ u, np.eye(k)) and np.allclose(v @ v.conj().T, np.eye(k))
+    for j in range(k):
+        a = u[int(np.argmax(np.abs(u[:, j]))), j]
+        assert a.real > 0 and abs(a.imag) < 1e-15
+
+
 def test_svd_tensor_wrapper():
     m = tn.matrix(rng.normal(size=(3, 4)))
     res = tn.svd(m)

@@ -2,6 +2,7 @@
 compression, entropies."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,46 @@ def test_ghz_open_and_periodic():
     expect[0] = expect[-1] = 1 / math.sqrt(2)
     assert np.allclose(tn.to_dense(ring).data.reshape(-1), expect)
     assert tn.amplitude(ring, (1, 1, 1, 1)) == pytest.approx(1 / math.sqrt(2))
+
+
+def test_ghz_open_beyond_the_dense_guard():
+    n = 32
+    m = tn.ghz_mps(n)
+    assert m.boundary == mpsmod.OPEN
+    assert m.bond_dims == (2,) * (n - 1)
+    assert tn.amplitude(m, (0,) * n) == pytest.approx(1 / math.sqrt(2))
+    assert tn.amplitude(m, (1,) * n) == pytest.approx(1 / math.sqrt(2))
+    assert tn.amplitude(m, (0, 1) * (n // 2)) == 0
+    assert mpsmod.norm(m) == pytest.approx(1.0)
+
+
+def random_cores(bonds, d=2):
+    return [rng.normal(size=(l, d, r)) + 1j * rng.normal(size=(l, d, r)) for l, r in zip(bonds, bonds[1:])]
+
+
+def test_inner_periodic_matches_dense_overlap():
+    for ring_a, ring_b in ((3, 3), (2, 3)):
+        a = tn.MPS(random_cores([ring_a, 3, 4, 2, 3, ring_a]), mpsmod.PERIODIC)
+        b = tn.MPS(random_cores([ring_b, 2, 3, 4, 2, ring_b]), mpsmod.PERIODIC)
+        expect = np.vdot(tn.to_dense(a).data, tn.to_dense(b).data)
+        assert tn.inner(a, b) == pytest.approx(expect, rel=1e-12)
+        assert tn.inner(b, a) == pytest.approx(np.conj(expect), rel=1e-12)
+        assert mpsmod.norm(a) ** 2 == pytest.approx(np.linalg.norm(tn.to_dense(a).data) ** 2, rel=1e-12)
+
+
+def test_inner_at_large_bond_stays_small():
+    # a 4-index environment at chi = 128 would need chi^4 complex128 = 4 GiB
+    n, chi = 30, 128
+    bonds = [1] + [chi] * (n - 1) + [1]
+    a, b = tn.MPS(random_cores(bonds)), tn.MPS(random_cores(bonds))
+    tracemalloc.start()
+    try:
+        value = tn.inner(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value)
+    assert peak < 16 * 2**20
 
 
 def test_w_state():
