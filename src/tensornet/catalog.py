@@ -25,6 +25,16 @@ def _gate(data, n_out: int, n_in: int, d: int = 2) -> Tensor:
     return Tensor(data, wires)
 
 
+def _truth_gate(f, n_out: int, n_in: int, d: int = 2) -> Tensor:
+    """sum_x |f(x)><x| over every input x in range(d)^n_in.  ``f`` takes the
+    n_in input digits, as arrays over all inputs at once, and returns the
+    n_out output digits."""
+    data = np.zeros((d,) * (n_out + n_in), dtype=complex)
+    x = tuple(np.indices((d,) * n_in).reshape(n_in, -1))
+    data[tuple(f(*x)) + x] = 1.0
+    return _gate(data, n_out, n_in, d)
+
+
 def identity(d: int = 2) -> Tensor:
     return matrix(np.eye(d), "o0", "i0")
 
@@ -43,10 +53,8 @@ def cap(d: int = 2) -> Tensor:
 
 def swap(d: int = 2) -> Tensor:
     """SWAP^{ij}_{kl} = delta^i_l delta^j_k."""
-    data = np.zeros((d, d, d, d), dtype=complex)
-    for i, j in itertools.product(range(d), repeat=2):
-        data[i, j, j, i] = 1.0
-    return _gate(data, 2, 2, d)
+    check_elements(d, 4, "swap")
+    return _truth_gate(lambda k, l: (l, k), 2, 2, d)
 
 
 def pauli_x() -> Tensor:
@@ -68,18 +76,12 @@ def hadamard() -> Tensor:
 
 def cnot() -> Tensor:
     """CNOT = sum_ab |a, a xor b><a, b|; wires (o0, o1, i0, i1)."""
-    data = np.zeros((2, 2, 2, 2), dtype=complex)
-    for a, b in itertools.product(range(2), repeat=2):
-        data[a, a ^ b, a, b] = 1.0
-    return _gate(data, 2, 2)
+    return _truth_gate(lambda a, b: (a, a ^ b), 2, 2)
 
 
 def toffoli() -> Tensor:
     """Doubly-controlled NOT: |a, b, c xor (a and b)><a, b, c|."""
-    data = np.zeros((2,) * 6, dtype=complex)
-    for a, b, c in itertools.product(range(2), repeat=3):
-        data[a, b, c ^ (a & b), a, b, c] = 1.0
-    return _gate(data, 3, 3)
+    return _truth_gate(lambda a, b, c: (a, b, c ^ (a & b)), 3, 3)
 
 
 def copy_tensor(n_out: int, n_in: int = 1) -> Tensor:
@@ -100,11 +102,10 @@ def xor_tensor(n_in: int, n_out: int = 1) -> Tensor:
     if n < 1:
         raise ShapeError("xor_tensor needs at least one wire")
     check_elements(2, n, "xor_tensor")
-    data = np.zeros((2,) * n, dtype=complex)
-    for bits in itertools.product(range(2), repeat=n):
-        if sum(bits) % 2 == 0:
-            data[bits] = 1.0
-    return _gate(data, n_out, n_in)
+    even = np.ones(1)
+    for _ in range(n):  # a leading 1 bit flips the parity of the rest
+        even = np.concatenate([even, 1 - even])
+    return _gate(even, n_out, n_in)
 
 
 def plus_ket(normalized: bool = False) -> Tensor:
@@ -161,14 +162,12 @@ def antisymmetrizer(n: int, d: int) -> Tensor:
     """
     check_elements(d, 2 * n, "antisymmetrizer")
     data = np.zeros((d,) * (2 * n), dtype=complex)
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        for i_tup in itertools.product(range(d), repeat=n):
-            j_tup = [0] * n
-            for k in range(n):
-                j_tup[perm[k]] = i_tup[k]
-            data[i_tup + tuple(j_tup)] += sign
-    data /= math.factorial(n)
+    if d >= n:  # otherwise every term cancels
+        i_tup = tuple(np.indices((d,) * n))
+        for perm in itertools.permutations(range(n)):
+            # j[perm[k]] = i[k]: argsort inverts the permutation
+            data[i_tup + tuple(i_tup[k] for k in np.argsort(perm))] += _perm_sign(perm)
+        data /= math.factorial(n)
     wires = [WireSpec(f"o{k}", d, UPPER) for k in range(n)]
     wires += [WireSpec(f"i{k}", d, LOWER) for k in range(n)]
     return Tensor(data, wires)
@@ -176,23 +175,17 @@ def antisymmetrizer(n: int, d: int) -> Tensor:
 
 def and_tensor() -> Tensor:
     """AND = sum |x1 and x2><x1, x2|."""
-    data = np.zeros((2, 2, 2), dtype=complex)
-    for x1, x2 in itertools.product(range(2), repeat=2):
-        data[x1 & x2, x1, x2] = 1.0
-    return _gate(data, 1, 2)
+    return _truth_gate(lambda x1, x2: (x1 & x2,), 1, 2)
 
 
 def or_tensor() -> Tensor:
     """OR = sum |x1 or x2><x1, x2|."""
-    data = np.zeros((2, 2, 2), dtype=complex)
-    for x1, x2 in itertools.product(range(2), repeat=2):
-        data[x1 | x2, x1, x2] = 1.0
-    return _gate(data, 1, 2)
+    return _truth_gate(lambda x1, x2: (x1 | x2,), 1, 2)
 
 
 def not_tensor() -> Tensor:
     """Logical NOT; identical components to the Pauli X gate."""
-    return _gate(np.array([[0, 1], [1, 0]], dtype=complex), 1, 1)
+    return _truth_gate(lambda x: (1 - x,), 1, 1)
 
 
 def aklt_projector() -> Tensor:

@@ -64,6 +64,21 @@ def _emit(report: dict, as_json: bool) -> None:
             print(f"{key}: {value}")
 
 
+def _emit_checked(args, report: dict, oracle, problem) -> int:
+    """Emit a count report.  With ``--brute-force``, first add the count
+    ``oracle(problem)`` and whether it matches ``report["count"]``, and
+    follow human output with MATCH or MISMATCH; a mismatch exits 4."""
+    if args.brute_force:
+        report["brute_force"] = oracle(problem)
+        report["match"] = report["count"] == report["brute_force"]
+    _emit(report, args.json)
+    if not args.brute_force:
+        return EXIT_OK
+    if not args.json:
+        print("MATCH" if report["match"] else "MISMATCH")
+    return EXIT_OK if report["match"] else EXIT_MISMATCH
+
+
 def _read_text(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
         return fh.read()
@@ -81,17 +96,7 @@ def cmd_count_sat(args) -> int:
         "raw_imag": _num(result.raw.imag),
         "residual": _num(result.residual),
     }
-    code = EXIT_OK
-    if args.brute_force:
-        oracle = counting.brute_force_sat(formula)
-        report["brute_force"] = oracle
-        report["match"] = result.count == oracle
-        if not report["match"]:
-            code = EXIT_MISMATCH
-    _emit(report, args.json)
-    if args.brute_force and not args.json:
-        print("MATCH" if report["match"] else "MISMATCH")
-    return code
+    return _emit_checked(args, report, counting.brute_force_sat, formula)
 
 
 def cmd_color_count(args) -> int:
@@ -102,16 +107,7 @@ def cmd_color_count(args) -> int:
         "count": result.count,
         "residual": _num(result.residual),
     }
-    code = EXIT_OK
-    if args.brute_force:
-        oracle = counting.brute_force_colorings(graph)
-        report["brute_force"] = oracle
-        report["match"] = result.count == oracle
-        if not report["match"]:
-            code = EXIT_MISMATCH
-    _emit(report, args.json)
-    if args.brute_force and not args.json:
-        print("MATCH" if report["match"] else "MISMATCH")
+    code = _emit_checked(args, report, counting.brute_force_colorings, graph)
     if not args.json:
         print(PLANARITY_CAVEAT)
     return code

@@ -22,7 +22,7 @@ import numpy as np
 from . import catalog
 from .errors import NonIntegralError, ParseError, ShapeError, SizeLimitError
 from .network import TensorNetwork
-from .tensor import LOWER, UPPER, Tensor, WireSpec, raise_wire
+from .tensor import LOWER, UPPER, Tensor, WireSpec, dagger, raise_wire
 
 INTEGER_TOL = 1e-6
 EXACT_LIMIT = 2**53  # complex128 holds every integer below this exactly
@@ -65,6 +65,8 @@ class CnfFormula:
     tautologies_removed: int = 0
 
     def __post_init__(self):
+        if self.num_vars < 0:
+            raise ValueError(f"negative number of variables: {self.num_vars}")
         kept = []
         removed = 0
         for clause in self.clauses:
@@ -133,11 +135,6 @@ def parse_dimacs(text: str) -> CnfFormula:
     return CnfFormula(num_vars, clauses)
 
 
-def _flip(t: Tensor) -> Tensor:
-    """Conjugate components and flip every flavor (ket layer -> bra layer)."""
-    return Tensor(np.conj(t.data), [WireSpec(w.label, w.dim, w.flavor.flipped()) for w in t.wires])
-
-
 def _or_table(positive: list[bool]) -> np.ndarray:
     """0/1 table over len(positive) bits, 0 only where every bit is false:
     0 for a positive literal, 1 for a negated one."""
@@ -189,12 +186,13 @@ def _formula_layer(net: TensorNetwork, f: CnfFormula, bra: bool) -> list[tuple[i
     bonded to the clause wires in clause order.
 
     Returns one open variable end per variable, in variable order (the
-    state wires of |f>).  With ``bra=True`` every tensor is flavor-flipped,
-    producing <f|.
+    state wires of |f>).  With ``bra=True`` every tensor is replaced by its
+    dagger, producing <f|; bonds join wires by label, so the reversed wire
+    order does not matter.
     """
 
     def node(t: Tensor) -> int:
-        return net.add(_flip(t) if bra else t)
+        return net.add(dagger(t) if bra else t)
 
     occurrences = [0] * (f.num_vars + 1)
     for clause in f.clauses:
@@ -321,6 +319,8 @@ class Graph:
     edges: list[tuple[int, int]]
 
     def __post_init__(self):
+        if self.num_nodes < 0:
+            raise ValueError(f"negative number of nodes: {self.num_nodes}")
         for u, v in self.edges:
             if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
                 raise ValueError(f"edge ({u}, {v}) out of range for {self.num_nodes} nodes")
@@ -353,6 +353,8 @@ def parse_graph(text: str) -> Graph:
                 num_nodes = int(toks[1])
             except ValueError:
                 raise ParseError(no, f"non-integer node count {toks[1]!r}")
+            if num_nodes < 0:
+                raise ParseError(no, "negative node count in header")
             header_line = no
             continue
         if len(toks) != 2:

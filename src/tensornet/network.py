@@ -3,6 +3,7 @@ entanglement invariants that are naturally expressed as networks."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from . import catalog
 from .errors import MAX_ELEMENTS, ShapeError, SizeLimitError, WireError
-from .tensor import LOWER, UPPER, Tensor, WireSpec, conjugate, raise_wire
+from .tensor import LOWER, UPPER, Tensor, WireSpec, conjugate, dagger, raise_wire
 
 End = tuple[int, str]  # (node id, wire label)
 
@@ -34,7 +35,7 @@ class TensorNetwork:
     def __init__(self):
         self._nodes: dict[int, Tensor] = {}
         self._bonds: list[tuple[End, End]] = []
-        self._bonded: set[End] = set()
+        self._bond_of: dict[End, int] = {}  # bonded end -> index in _bonds
         self._next_id = 0
 
     def add(self, t: Tensor) -> int:
@@ -64,16 +65,16 @@ class TensorNetwork:
         if wa.flavor is wb.flavor:
             raise WireError(f"bond {end_a}-{end_b}: both wires are {wa.flavor.value}")
         for end in (end_a, end_b):
-            if end in self._bonded:
+            if end in self._bond_of:
                 raise WireError(f"wire already bonded: {end}")
+        self._bond_of[end_a] = self._bond_of[end_b] = len(self._bonds)
         self._bonds.append((end_a, end_b))
-        self._bonded.update((end_a, end_b))
 
     def open_wires(self) -> list[End]:
         out = []
         for nid in sorted(self._nodes):
             for w in self._nodes[nid].wires:
-                if (nid, w.label) not in self._bonded:
+                if (nid, w.label) not in self._bond_of:
                     out.append((nid, w.label))
         return out
 
@@ -139,9 +140,12 @@ class TensorNetwork:
     def contract_all(self, plan: ContractionPlan | None = None) -> Tensor:
         """Contract every bond; open wires survive in declared order.
 
-        Disconnected components are combined by tensor product (scalars
-        multiply).  The result does not depend on the plan beyond floating
-        point rounding.
+        Every wire end is named by the index of its bond, an open end by
+        itself.  A name that appears twice in one node is a self-loop, traced
+        when the node is loaded; a merge of the plan contracts every name
+        the two nodes share.  Disconnected components are combined by tensor
+        product in node-id order (scalars multiply).  The result does not
+        depend on the plan beyond floating point rounding.
 
         Raises ``SizeLimitError`` before contracting anything when a merge
         of the plan (given or computed), sized from the node shapes by
@@ -161,66 +165,37 @@ class TensorNetwork:
             )
 
         arrays = {nid: t.data for nid, t in self._nodes.items()}
-        keys = {nid: [(nid, w.label) for w in t.wires] for nid, t in self._nodes.items()}
-        partner: dict[End, End] = {}
-        for ea, eb in self._bonds:
-            partner[ea] = eb
-            partner[eb] = ea
-
-        def trace_self(nid: int) -> None:
-            while True:
-                ks = keys[nid]
-                hit = None
-                for i, k in enumerate(ks):
-                    p = partner.get(k)
-                    if p is not None and p in ks:
-                        hit = (i, ks.index(p))
-                        break
-                if hit is None:
-                    return
-                i, j = hit
+        names = {
+            nid: [self._bond_of.get((nid, w.label), (nid, w.label)) for w in t.wires]
+            for nid, t in self._nodes.items()
+        }
+        for nid, ns in names.items():
+            for loop in [n for k, n in enumerate(ns) if n in ns[k + 1:]]:
+                i, j = [k for k, n in enumerate(ns) if n == loop]
                 arrays[nid] = np.trace(arrays[nid], axis1=i, axis2=j)
-                del partner[ks[i]], partner[ks[j]]
-                keys[nid] = [k for idx, k in enumerate(ks) if idx not in (i, j)]
-
-        for nid in list(arrays):
-            trace_self(nid)
+                del ns[j], ns[i]
 
         for a, b in plan.merges:
             if a not in arrays or b not in arrays:
                 raise WireError(f"plan refers to missing node pair ({a}, {b})")
-            axes_a, axes_b = [], []
-            for i, k in enumerate(keys[a]):
-                p = partner.get(k)
-                if p is not None and p in keys[b]:
-                    axes_a.append(i)
-                    axes_b.append(keys[b].index(p))
-                    del partner[k], partner[p]
-            if not axes_a:
+            shared = set(names[a]).intersection(names[b]) if a != b else set()
+            if not shared:
                 raise WireError(f"plan merges unbonded nodes ({a}, {b})")
-            merged = np.tensordot(arrays[a], arrays[b], axes=(axes_a, axes_b))
+            axes_a = [i for i, n in enumerate(names[a]) if n in shared]
+            axes_b = [names[b].index(names[a][i]) for i in axes_a]
             keep = min(a, b)
-            drop = a + b - keep
-            arrays[keep] = merged
-            keys[keep] = [k for i, k in enumerate(keys[a]) if i not in axes_a] + [
-                k for i, k in enumerate(keys[b]) if i not in axes_b
-            ]
-            del arrays[drop], keys[drop]
-            trace_self(keep)
+            arrays[keep] = np.tensordot(arrays.pop(a), arrays.pop(b), axes=(axes_a, axes_b))
+            names[keep] = [n for n in names.pop(a) + names.pop(b) if n not in shared]
 
-        if partner:
+        # bonds are named by int, open ends by (node id, label)
+        if any(isinstance(n, int) for ns in names.values() for n in ns):
             raise WireError("plan did not touch every bond")
 
         # outer-product the remaining (disconnected) pieces in id order
         nids = sorted(arrays)
-        data = arrays[nids[0]]
-        all_keys = list(keys[nids[0]])
-        for nid in nids[1:]:
-            data = np.tensordot(data, arrays[nid], axes=0)
-            all_keys += keys[nid]
-
-        perm = [all_keys.index(end) for end in open_order]
-        data = np.transpose(data, perm)
+        data = functools.reduce(lambda x, y: np.tensordot(x, y, axes=0), [arrays[nid] for nid in nids])
+        all_names = [n for nid in nids for n in names[nid]]
+        data = np.transpose(data, [all_names.index(end) for end in open_order])
         wires = []
         taken = set()
         for nid, label in open_order:
@@ -263,7 +238,7 @@ def concurrence(psi: Tensor) -> float:
     _require_qubit_ket(psi, 2, "concurrence")
     la, lb = psi.labels
     # the bra of the conjugate state has the unconjugated components
-    bar = Tensor(psi.data, [WireSpec(w.label, w.dim, LOWER) for w in psi.wires])
+    bar = dagger(conjugate(psi))
     net = TensorNetwork()
     p1 = net.add(psi)
     p2 = net.add(bar)
@@ -306,7 +281,7 @@ def three_tangle(psi: Tensor) -> float:
 def kempe(psi: Tensor) -> complex:
     """Kempe invariant K = psi^ijk psibar_ilm psi^nlo psibar_pjo psi^pqm psibar_nqk."""
     _require_qubit_ket(psi, 3, "kempe")
-    bar = Tensor(np.conj(psi.data), [WireSpec(w.label, w.dim, LOWER) for w in psi.wires])
+    bar = dagger(psi)
     net = TensorNetwork()
     k1 = net.add(psi)   # ijk
     b2 = net.add(bar)   # ilm

@@ -89,10 +89,7 @@ class Tensor:
         return tuple(w.label for w in self.wires)
 
     def wire(self, label: str) -> WireSpec:
-        for w in self.wires:
-            if w.label == label:
-                return w
-        raise WireError(f"no wire labeled {label!r} (have {list(self.labels)})")
+        return self.wires[self.axis(label)]
 
     def axis(self, label: str) -> int:
         for i, w in enumerate(self.wires):
@@ -180,24 +177,11 @@ def matrix(m, out_label: str = "out", in_label: str = "in") -> Tensor:
 def tensor_product(a: Tensor, b: Tensor) -> Tensor:
     """Kronecker-structured product; ``a``'s wires followed by ``b``'s.
 
-    Label collisions are resolved by deterministically suffixing the second
-    operand's labels.
+    This is :func:`contract` over no pairs, so label collisions are
+    resolved by its rule: a colliding label of ``b`` gets the first free
+    suffix ``_1``, ``_2``, ...
     """
-    taken = set(a.labels)
-    mapping = {}
-    for lab in b.labels:
-        new = lab
-        k = 1
-        while new in taken:
-            new = f"{lab}_{k}"
-            k += 1
-        if new != lab:
-            mapping[lab] = new
-        taken.add(new)
-    if mapping:
-        b = b.relabeled(mapping)
-    data = np.tensordot(a.data, b.data, axes=0)
-    return Tensor(data, a.wires + b.wires)
+    return contract(a, [], b)
 
 
 def _check_pair(wa: WireSpec, wb: WireSpec):
@@ -260,10 +244,6 @@ def contract(a: Tensor, pairs: Iterable[tuple[str, str]], b: Tensor | None = Non
 
 def trace(a: Tensor, pairs: Iterable[tuple[str, str]]) -> Tensor:
     """Partial trace over (UPPER, LOWER) wire pairs of equal dimension."""
-    pairs = list(pairs)
-    for la, lb in pairs:
-        wa, wb = a.wire(la), a.wire(lb)
-        _check_pair(wa, wb)
     return contract(a, pairs)
 
 

@@ -159,3 +159,43 @@ def test_catalog_limit_is_inclusive(monkeypatch):
         catalog.epsilon(3)
     with pytest.raises(tn.SizeLimitError):
         catalog.antisymmetrizer(2, 3)
+
+
+def test_catalog_matches_loop_references():
+    for n_in, n_out in [(1, 0), (0, 2), (2, 1), (3, 2), (5, 0), (4, 3)]:
+        n = n_in + n_out
+        expect = np.zeros((2,) * n, dtype=complex)
+        for bits in itertools.product(range(2), repeat=n):
+            if sum(bits) % 2 == 0:
+                expect[bits] = 1.0
+        t = tn.xor_tensor(n_in, n_out)
+        assert np.array_equal(t.data, expect)
+        assert t.order == (n_out, n_in)
+
+    expect = np.zeros((3,) * 4, dtype=complex)
+    for i, j in itertools.product(range(3), repeat=2):
+        expect[i, j, j, i] = 1.0
+    assert np.array_equal(tn.swap(3).data, expect)
+
+    for n, d in [(2, 3), (3, 2), (3, 4)]:
+        expect = np.zeros((d,) * (2 * n), dtype=complex)
+        for perm in itertools.permutations(range(n)):
+            for i_tup in itertools.product(range(d), repeat=n):
+                j_tup = [0] * n
+                for k in range(n):
+                    j_tup[perm[k]] = i_tup[k]
+                expect[i_tup + tuple(j_tup)] += catalog._perm_sign(perm)
+        expect /= math.factorial(n)
+        assert np.array_equal(tn.antisymmetrizer(n, d).data, expect)
+
+
+def test_large_catalog_tensors_build_at_numpy_speed():
+    t0 = time.perf_counter()
+    t = tn.xor_tensor(22)
+    assert time.perf_counter() - t0 < 2.0
+    assert t.data.reshape(-1)[[0, 1, 3, 2**22 - 1]].tolist() == [1, 0, 1, 1]
+    for n, d in [(9, 1), (6, 4)]:
+        t0 = time.perf_counter()
+        a = tn.antisymmetrizer(n, d)
+        assert time.perf_counter() - t0 < 1.0
+        assert a.data.shape == (d,) * (2 * n) and not a.data.any()  # d < n: no antisymmetric states

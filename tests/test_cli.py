@@ -168,6 +168,14 @@ def test_color_count_not_3_regular_exit_2(tmp_path, capsys):
     assert main(["color-count", f]) == 2
 
 
+def test_color_count_negative_node_count_exit_2(tmp_path, capsys):
+    f = write(tmp_path, "neg.txt", "nodes -3\n")
+    assert main(["color-count", f]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "neg.txt:1: negative node count" in captured.err
+
+
 # -- mps ----------------------------------------------------------------
 
 

@@ -241,6 +241,16 @@ def test_parse_graph_errors(text):
         tn.parse_graph(text)
 
 
+def test_negative_sizes_are_refused():
+    with pytest.raises(tn.ParseError) as info:
+        tn.parse_graph("# header next\nnodes -3\n")
+    assert info.value.line == 2
+    with pytest.raises(ValueError, match="negative"):
+        tn.CnfFormula(-2, [])
+    with pytest.raises(ValueError, match="negative"):
+        tn.Graph(-2, [])
+
+
 def test_coloring_requires_3_regular():
     with pytest.raises(tn.ShapeError):
         tn.count_3_edge_colorings(tn.Graph(2, [(0, 1)]))

@@ -221,3 +221,94 @@ def test_kempe_known_values():
     assert tn.kempe(basis) == pytest.approx(1.0)
     ghz = tn.ket(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / math.sqrt(2), dims=[2, 2, 2])
     assert tn.kempe(ghz) == pytest.approx(0.25, abs=1e-12)
+
+
+def test_self_merge_plan_is_refused():
+    net = tn.TensorNetwork()
+    a = net.add(tn.matrix(rng.normal(size=(2, 2))))
+    b = net.add(tn.ket([1, 2], labels=["x"]))
+    net.connect((a, "in"), (b, "x"))
+    with pytest.raises(tn.WireError, match=r"plan merges unbonded nodes \(0, 0\)"):
+        net.contract_all(tn.network.ContractionPlan(merges=[(a, a)]))
+
+
+def test_plan_that_skips_a_bond_is_refused():
+    net = tn.TensorNetwork()
+    ids = [net.add(tn.matrix(rng.normal(size=(2, 2)))) for _ in range(3)]
+    net.connect((ids[0], "in"), (ids[1], "out"))
+    net.connect((ids[1], "in"), (ids[2], "out"))
+    with pytest.raises(tn.WireError, match="plan did not touch every bond"):
+        net.contract_all(tn.network.ContractionPlan(merges=[(ids[0], ids[1])]))
+
+
+def random_plan(net, gen):
+    """Merge randomly chosen bonded pairs until every bond is contracted;
+    a merged node keeps the smaller id, as in contraction."""
+    rep = {nid: nid for nid in net.nodes}
+    merges = []
+    while True:
+        pairs = sorted({(rep[a], rep[b]) for (a, _), (b, _) in net.bonds if rep[a] != rep[b]})
+        if not pairs:
+            return tn.network.ContractionPlan(merges=merges)
+        a, b = pairs[gen.integers(len(pairs))]
+        merges.append((a, b) if gen.random() < 0.5 else (b, a))
+        keep, drop = min(a, b), max(a, b)
+        rep = {nid: keep if r == drop else r for nid, r in rep.items()}
+
+
+def random_feature_network(gen):
+    """A network with two bonds between one pair of nodes, a node with two
+    self-loops and two other bonds, a disconnected piece, an isolated node
+    and open wires whose labels collide across nodes; wire order, bond
+    dimensions and components are random."""
+    dims = {k: int(gen.integers(1, 4)) for k in "pqrstuvw"}
+    up, low = tn.UPPER, tn.LOWER
+    spec = [  # node -> wires (label, dim key, flavor); pieces {0, 1, 2} and {3, 4}, node 5 alone
+        [("l0", "p", up), ("l1", "p", low), ("m0", "q", up), ("m1", "q", low), ("x", "r", up), ("y", "s", low),
+         ("o", "t", up)],
+        [("x", "r", low), ("y", "s", up), ("z", "u", up), ("o", "v", low)],
+        [("z", "u", low), ("o", "w", up)],
+        [("e", "q", up), ("o", "t", low)],
+        [("e", "q", low), ("loop", "p", up), ("back", "p", low)],
+        [("o", "v", up)],
+    ]
+    bonds = [((0, "l0"), (0, "l1")), ((0, "m1"), (0, "m0")), ((0, "x"), (1, "x")), ((1, "y"), (0, "y")),
+             ((1, "z"), (2, "z")), ((3, "e"), (4, "e")), ((4, "loop"), (4, "back"))]
+    net = tn.TensorNetwork()
+    for wires in spec:
+        wires = [wires[k] for k in gen.permutation(len(wires))]
+        shape = [dims[d] for _, d, _ in wires]
+        data = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+        net.add(tn.Tensor(data, [tn.WireSpec(lab, dims[d], fl) for lab, d, fl in wires]))
+    for end_a, end_b in bonds:
+        net.connect(end_a, end_b)
+    return net
+
+
+def einsum_reference(net):
+    """All nodes in one np.einsum: one index per bond, one per open end."""
+    index = {}
+    for k, (end_a, end_b) in enumerate(net.bonds):
+        index[end_a] = index[end_b] = k
+    opened = net.open_wires()
+    for k, end in enumerate(opened, start=len(net.bonds)):
+        index[end] = k
+    operands = []
+    for nid, t in net.nodes.items():
+        operands += [t.data, [index[(nid, w.label)] for w in t.wires]]
+    return np.einsum(*operands, [index[end] for end in opened])
+
+
+def test_contract_all_matches_one_einsum_on_random_networks():
+    gen = np.random.default_rng(2024)
+    for _ in range(20):
+        net = random_feature_network(gen)
+        expect = einsum_reference(net)
+        labels = []
+        for nid, label in net.open_wires():
+            labels.append(label if label not in labels else f"n{nid}:{label}")
+        for plan in (None, random_plan(net, gen), random_plan(net, gen)):
+            out = net.contract_all(plan)
+            assert out.labels == tuple(labels)
+            assert [w.dim for w in out.wires] == list(expect.shape)
+            assert np.allclose(out.data, expect, rtol=1e-12, atol=1e-12)
