@@ -5,7 +5,8 @@ Exit codes: 0 success, 2 input error (including a contraction refused as
 too large), 3 numerical failure (including a count of 2^53 or more, past
 exact complex128 integers) or out of memory, 4 oracle mismatch.  Set
 ``TNET_LOG`` (debug/info/warning) for log verbosity; ``debug`` logs the
-network size, plan peak and contraction time of every count.
+network size, plan peak, planning time and contraction time of every
+count.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ A CNF formula becomes one clause tensor per clause (1 except 0 at the
 clause's falsifying assignment; a chain of order-3 pieces for clauses wider
 than 3) joined to a chain of order-3 COPY tensors per variable; a graph
 becomes one order-3 epsilon per node.  Counts are logged at DEBUG level on
-the ``tensornet`` logger with the network size, the plan peak and the
-contraction time.
+the ``tensornet`` logger with the network size, the plan peak, the planning
+time and the contraction time.
 """
 
 from __future__ import annotations
@@ -143,10 +143,12 @@ def _or_table(positive: list[bool]) -> np.ndarray:
     return data
 
 
-def _clause_pieces(clause: tuple[int, ...]) -> list[tuple[range, Tensor]]:
-    """Tensors of order <= 3 whose contraction is the clause tensor (1 on
+def _clause_pieces(clause: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[bool, ...], bool, bool]]:
+    """Pieces of order <= 3 whose contraction is the clause tensor (1 on
     every assignment except the single falsifying one, where it is 0), each
-    with the clause positions it reads on its LOWER wires ``i<j>``.
+    as the arguments of ``_clause_piece`` that build it: the clause
+    positions it reads on its LOWER wires ``i<j>``, their signs, and
+    whether it reads and emits the flag below.
 
     A clause of width w <= 3 is one such tensor.  A wider clause is a chain
     of w - 2 pieces joined by a dimension-2 flag, 1 once some earlier
@@ -160,17 +162,21 @@ def _clause_pieces(clause: tuple[int, ...]) -> list[tuple[range, Tensor]]:
         groups = [range(w)]
     else:
         groups = [range(0, 2)] + [range(j, j + 1) for j in range(2, w - 2)] + [range(w - 2, w)]
-    pieces = []
-    for g, js in enumerate(groups):
-        flag_in, flag_out = g > 0, g < len(groups) - 1
-        # the incoming flag reads like a positive literal
-        data = _or_table([clause[j] > 0 for j in js] + ([True] if flag_in else []))
-        wires = [WireSpec(f"i{j}", 2, LOWER) for j in js] + ([WireSpec("s0", 2, LOWER)] if flag_in else [])
-        if flag_out:
-            data = np.stack([1 - data, data], axis=-1)
-            wires.append(WireSpec("s1", 2, UPPER))
-        pieces.append((js, Tensor(data, wires)))
-    return pieces
+    last = len(groups) - 1
+    return [(tuple(js), tuple(clause[j] > 0 for j in js), g > 0, g < last) for g, js in enumerate(groups)]
+
+
+def _clause_piece(js: tuple[int, ...], positive: tuple[bool, ...], flag_in: bool, flag_out: bool) -> Tensor:
+    """One piece of ``_clause_pieces``: reads literals ``js`` of the given
+    signs on wires ``i<j>``, plus the incoming flag on ``s0`` if
+    ``flag_in``, and emits the updated flag on ``s1`` if ``flag_out``."""
+    # the incoming flag reads like a positive literal
+    data = _or_table(list(positive) + ([True] if flag_in else []))
+    wires = [WireSpec(f"i{j}", 2, LOWER) for j in js] + ([WireSpec("s0", 2, LOWER)] if flag_in else [])
+    if flag_out:
+        data = np.stack([1 - data, data], axis=-1)
+        wires.append(WireSpec("s1", 2, UPPER))
+    return Tensor(data, wires)
 
 
 def _formula_layer(net: TensorNetwork, f: CnfFormula, bra: bool) -> list[tuple[int, str]]:
@@ -189,10 +195,18 @@ def _formula_layer(net: TensorNetwork, f: CnfFormula, bra: bool) -> list[tuple[i
     state wires of |f>).  With ``bra=True`` every tensor is replaced by its
     dagger, producing <f|; bonds join wires by label, so the reversed wire
     order does not matter.
-    """
 
-    def node(t: Tensor) -> int:
-        return net.add(dagger(t) if bra else t)
+    Tensors are immutable, so each distinct one (a COPY head, the COPY
+    link, a clause piece per sign pattern) is built once per call and the
+    same instance is added at every node that needs it.
+    """
+    made: dict[tuple, Tensor] = {}  # (constructor, arguments) -> tensor
+
+    def node(build, *args) -> int:
+        t = made.get((build, args))
+        if t is None:
+            t = made[build, args] = dagger(build(*args)) if bra else build(*args)
+        return net.add(t)
 
     occurrences = [0] * (f.num_vars + 1)
     for clause in f.clauses:
@@ -204,19 +218,19 @@ def _formula_layer(net: TensorNetwork, f: CnfFormula, bra: bool) -> list[tuple[i
     for v in range(1, f.num_vars + 1):
         k = occurrences[v]
         head = min(k, 2)
-        nid = node(catalog.copy_tensor(n_out=head + 1, n_in=0))
+        nid = node(catalog.copy_tensor, head + 1, 0)
         open_ends.append((nid, "o0"))
         ends = [(nid, f"o{j}") for j in range(1, head + 1)]
         for _ in range(k - 2):
-            nid = node(catalog.copy_tensor(n_out=2, n_in=1))
+            nid = node(catalog.copy_tensor, 2, 1)
             net.connect(ends.pop(), (nid, "i0"))
             ends += [(nid, "o0"), (nid, "o1")]
         feeds[v] = iter(ends)
 
     for clause in f.clauses:
         prev = None
-        for js, t in _clause_pieces(clause):
-            cid = node(t)
+        for js, positive, flag_in, flag_out in _clause_pieces(clause):
+            cid = node(_clause_piece, js, positive, flag_in, flag_out)
             if prev is not None:
                 net.connect((prev, "s1"), (cid, "s0"))
             for j in js:
@@ -239,9 +253,9 @@ def formula_to_network(f: CnfFormula) -> TensorNetwork:
     which sums over all assignments.
     """
     net, ends = formula_state_network(f)
+    plus = Tensor([1, 1], [WireSpec("b", 2, LOWER)])
     for end in ends:
-        plus = net.add(Tensor([1, 1], [WireSpec("b", 2, LOWER)]))
-        net.connect(end, (plus, "b"))
+        net.connect(end, (net.add(plus), "b"))
     return net
 
 
@@ -256,21 +270,27 @@ def boolean_norm_value(f: CnfFormula) -> complex:
 
 
 def _contract(net: TensorNetwork, what: str) -> complex:
-    """Plan and contract a closed network; log its size, plan peak and
-    contraction time at DEBUG level."""
-    plan = net.greedy_plan()
+    """Plan and contract a closed network; log its size, plan peak,
+    planning time and contraction time at DEBUG level.
+
+    A value past the float range comes out inf or NaN without numpy's
+    overflow warnings; the caller judges it."""
     start = time.perf_counter()
-    value = net.contract_all(plan).item()
+    plan = net.greedy_plan()
+    planned = time.perf_counter()
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = net.contract_all(plan).item()
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("%s: %d nodes, %d bonds, plan peak 2^%.1f elements, contract %.6f s",
-                  what, len(net.nodes), len(net.bonds), math.log2(plan.peak_size), time.perf_counter() - start)
+        log.debug("%s: %d nodes, %d bonds, plan peak 2^%.1f elements, plan %.6f s, contract %.6f s",
+                  what, len(net.nodes), len(net.bonds), math.log2(plan.peak_size), planned - start,
+                  time.perf_counter() - planned)
     return value
 
 
 def _count(net: TensorNetwork, what: str) -> CountResult:
     raw = _contract(net, what)
-    if abs(raw) >= EXACT_LIMIT:
-        raise NonIntegralError(f"contraction value {raw} is at or above 2^53, where complex128 counts are not exact")
+    if not abs(raw) < EXACT_LIMIT:  # also refuses NaN
+        raise NonIntegralError(f"contraction value {raw} is not below 2^53, where complex128 counts are exact")
     result = CountResult.from_raw(raw)
     if not result.integral:
         raise NonIntegralError(f"contraction value {raw} is not close to an integer")

@@ -4,6 +4,7 @@ entanglement invariants that are naturally expressed as networks."""
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -111,19 +112,33 @@ class TensorNetwork:
     def greedy_plan(self) -> ContractionPlan:
         """Deterministic greedy ordering: repeatedly merge the bonded pair
         whose contraction yields the smallest tensor, ties broken by the
-        lowest (node id, node id) pair."""
+        lowest (node id, node id) pair.
+
+        Candidates wait in a heap of (merged size, a, b) with a < b, so the
+        best pair is popped instead of found by rescanning every bonded pair.
+        A merge pushes one entry per neighbor of the merged node; an entry
+        whose pair is no longer bonded, or whose merged size has changed, is
+        skipped when popped.  So a merge costs O(d log H) for a merged node
+        of degree d and H heap entries, where a rescan costs O(B) for B bonds.
+        """
         sizes, cuts = self._sizes_and_cuts()
         plan = ContractionPlan(peak_size=max(sizes.values(), default=1))
-        while True:
-            best = min(
-                ((sizes[a] * sizes[b] // (cut * cut), a, b) for a, nbrs in cuts.items() for b, cut in nbrs.items() if a < b),
-                default=None,
-            )
-            if best is None:
-                return plan
-            _, a, b = best
+
+        def merged(a: int, b: int) -> int:
+            cut = cuts[a][b]
+            return sizes[a] * sizes[b] // (cut * cut)
+
+        heap = [(merged(a, b), a, b) for a, nbrs in cuts.items() for b in nbrs if a < b]
+        heapq.heapify(heap)
+        while heap:
+            size, a, b = heapq.heappop(heap)
+            if b not in cuts.get(a, ()) or merged(a, b) != size:
+                continue
             plan.merges.append((a, b))
             plan.peak_size = max(plan.peak_size, self._merge_sizes(sizes, cuts, a, b))
+            for other in cuts[a]:
+                heapq.heappush(heap, (merged(a, other), min(a, other), max(a, other)))
+        return plan
 
     def plan_peak(self, merges: list[tuple[int, int]]) -> int:
         """Largest tensor, in elements, among the nodes and the results of
@@ -181,11 +196,19 @@ class TensorNetwork:
             shared = set(names[a]).intersection(names[b]) if a != b else set()
             if not shared:
                 raise WireError(f"plan merges unbonded nodes ({a}, {b})")
-            axes_a = [i for i, n in enumerate(names[a]) if n in shared]
-            axes_b = [names[b].index(names[a][i]) for i in axes_a]
+            # np.tensordot's layout and its np.dot, without its argument
+            # handling: a's free axes then the shared ones in a's order, times
+            # b's shared axes then its free ones
+            xa, xb, na, nb = arrays.pop(a), arrays.pop(b), names.pop(a), names.pop(b)
+            free_a = [i for i, n in enumerate(na) if n not in shared]
+            axes_a = [i for i, n in enumerate(na) if n in shared]
+            axes_b = [nb.index(na[i]) for i in axes_a]
+            free_b = [i for i, n in enumerate(nb) if n not in shared]
+            k = math.prod(xa.shape[i] for i in axes_a)
+            out = np.dot(xa.transpose(free_a + axes_a).reshape(-1, k), xb.transpose(axes_b + free_b).reshape(k, -1))
             keep = min(a, b)
-            arrays[keep] = np.tensordot(arrays.pop(a), arrays.pop(b), axes=(axes_a, axes_b))
-            names[keep] = [n for n in names.pop(a) + names.pop(b) if n not in shared]
+            arrays[keep] = out.reshape([xa.shape[i] for i in free_a] + [xb.shape[i] for i in free_b])
+            names[keep] = [na[i] for i in free_a] + [nb[i] for i in free_b]
 
         # bonds are named by int, open ends by (node id, label)
         if any(isinstance(n, int) for ns in names.values() for n in ns):

@@ -2,8 +2,12 @@
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from tensornet.cli import main
 from tensornet.fileio import format_amplitudes, parse_amplitudes
 
 rng = np.random.default_rng(55)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write(tmp_path, name, text):
@@ -119,6 +124,23 @@ def test_count_sat_past_exact_integers_exit_3(tmp_path, capsys):
     f = write(tmp_path, "wide.cnf", "p cnf 60 1\n" + " ".join(map(str, range(1, 61))) + " 0\n")
     assert main(["count-sat", f]) == 3
     assert "2^53" in capsys.readouterr().err
+
+
+def test_count_sat_overflowing_count_exit_3(tmp_path, capsys):
+    # 2^1100 overflows complex128 to NaN; refused like any count past 2^53
+    f = write(tmp_path, "empty.cnf", "p cnf 1100 0\n")
+    assert main(["count-sat", f]) == 3
+    assert "2^53" in capsys.readouterr().err
+
+
+def test_count_sat_on_20000_unused_variables_finishes(tmp_path):
+    # a 14-byte input; planning it by rescanning every pair per merge hangs
+    f = write(tmp_path, "empty.cnf", "p cnf 20000 0\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "tensornet.cli", "count-sat", f],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 3, proc.stderr
+    assert "2^53" in proc.stderr
 
 
 def test_memory_error_exit_3(tmp_path, capsys, monkeypatch):

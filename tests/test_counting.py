@@ -4,6 +4,7 @@ import itertools
 import logging
 import math
 import random
+import re
 import time
 
 import numpy as np
@@ -148,6 +149,13 @@ def test_network_nodes_have_low_order():
     assert max(len(t.wires) for t in net.nodes.values()) <= 3
 
 
+def test_equal_tensors_are_built_once_per_network():
+    # 3 COPY heads, the COPY link, 8 sign patterns of a 3-clause, the <+| cap
+    net = formula_to_network(random_3sat(20, 85, 0))
+    assert len(net.nodes) > 300
+    assert len({id(t) for t in net.nodes.values()}) <= 13
+
+
 def test_wide_clause_is_a_chain_of_order_3_pieces():
     # one clause over all 24 variables: a dense clause tensor would hold 2^24 elements
     f = tn.CnfFormula(24, [tuple(v if v % 3 else -v for v in range(1, 25))])
@@ -169,6 +177,10 @@ def test_counts_at_or_above_2_53_are_refused():
     with pytest.raises(tn.NonIntegralError):
         tn.count_sat(tn.CnfFormula(53, []))
     assert tn.count_sat(tn.CnfFormula(53, [tuple(range(1, 54))])).count == 2**53 - 1
+    # 2^1100 overflows the float range: the raw value is NaN, refused the same
+    # way, without numpy's overflow warnings (errors under tier-1)
+    with pytest.raises(tn.NonIntegralError, match="2\\^53"):
+        tn.count_sat(tn.CnfFormula(1100, []))
 
 
 def mixed_width_formula(num_vars, seed):
@@ -198,6 +210,7 @@ def test_oversized_count_is_refused_before_contracting(monkeypatch):
         raise AssertionError("contracted before the size check")
 
     monkeypatch.setattr(np, "tensordot", no_tensordot)
+    monkeypatch.setattr(np, "dot", no_tensordot)
     t0 = time.perf_counter()
     with pytest.raises(tn.SizeLimitError):
         tn.count_sat(f)
@@ -212,7 +225,7 @@ def test_count_logs_network_size_at_debug(caplog):
     assert len(lines) == 2
     assert lines[0].startswith("count_sat: 5 nodes, 4 bonds, plan peak 2^")
     assert lines[1].startswith("count_3_edge_colorings: 2 nodes, 3 bonds, plan peak 2^")
-    assert all("contract" in line for line in lines)
+    assert all(re.search(r", plan \d+\.\d{6} s, contract \d+\.\d{6} s$", line) for line in lines)
 
 
 def test_brute_force_guard():

@@ -1,6 +1,7 @@
 """Tensor network graphs, contraction plans, and invariant networks."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -127,6 +128,7 @@ def test_contract_refuses_plans_over_the_element_limit(monkeypatch):
         raise AssertionError("contracted before the size check")
 
     monkeypatch.setattr(np, "tensordot", no_tensordot)
+    monkeypatch.setattr(np, "dot", no_tensordot)
     with pytest.raises(tn.SizeLimitError):
         net.contract_all(bad)
 
@@ -312,3 +314,95 @@ def test_contract_all_matches_one_einsum_on_random_networks():
             assert out.labels == tuple(labels)
             assert [w.dim for w in out.wires] == list(expect.shape)
             assert np.allclose(out.data, expect, rtol=1e-12, atol=1e-12)
+
+
+def reference_greedy_plan(net):
+    """The greedy as it was before the heap: rescan every bonded pair on
+    each merge, O(N P).  Kept as the oracle for plan identity."""
+    sizes, cuts = net._sizes_and_cuts()
+    plan = tn.network.ContractionPlan(peak_size=max(sizes.values(), default=1))
+    while True:
+        best = min(
+            ((sizes[a] * sizes[b] // (cut * cut), a, b) for a, nbrs in cuts.items() for b, cut in nbrs.items() if a < b),
+            default=None,
+        )
+        if best is None:
+            return plan
+        _, a, b = best
+        plan.merges.append((a, b))
+        plan.peak_size = max(plan.peak_size, net._merge_sizes(sizes, cuts, a, b))
+
+
+def random_3sat(num_vars, num_clauses, gen):
+    return tn.CnfFormula(num_vars, [tuple(int(v) * int(gen.choice([-1, 1]))
+                                          for v in gen.choice(num_vars, size=3, replace=False) + 1)
+                                    for _ in range(num_clauses)])
+
+
+def random_multigraph_network(gen, dim):
+    """Random bonds between random node pairs: multi-bonds, self-loops,
+    isolated nodes and disconnected pieces, every wire of dimension ``dim``,
+    a few open wires, at most 8 wires per node."""
+    k = int(gen.integers(1, 12))
+    wires = [[] for _ in range(k)]
+    bonds = []
+    for e in range(int(gen.integers(0, 18))):
+        u, v = (int(x) for x in gen.integers(k, size=2))
+        if len(wires[u]) > 6 or len(wires[v]) > 6:
+            continue
+        wires[u].append(tn.WireSpec(f"u{e}", dim, tn.UPPER))
+        wires[v].append(tn.WireSpec(f"l{e}", dim, tn.LOWER))
+        bonds.append(((u, f"u{e}"), (v, f"l{e}")))
+    for j in range(int(gen.integers(0, 3))):
+        wires[int(gen.integers(k))].append(tn.WireSpec(f"open{j}", dim, tn.UPPER))
+    net = tn.TensorNetwork()
+    for ws in wires:
+        net.add(tn.Tensor(np.ones(dim ** len(ws)), ws))
+    for end_a, end_b in bonds:
+        net.connect(end_a, end_b)
+    return net
+
+
+def invariant_networks(monkeypatch):
+    """The networks that concurrence, three_tangle and kempe contract."""
+    nets = []
+    contract_all = tn.TensorNetwork.contract_all
+
+    def record(net, plan=None):
+        nets.append(net)
+        return contract_all(net, plan)
+
+    monkeypatch.setattr(tn.TensorNetwork, "contract_all", record)
+    tn.concurrence(random_qubit_ket(2))
+    tn.three_tangle(random_qubit_ket(3))
+    tn.kempe(random_qubit_ket(3))
+    return nets
+
+
+def test_heap_greedy_plan_equals_the_rescanning_greedy(monkeypatch):
+    gen = np.random.default_rng(31)
+    prism = tn.Graph(8, [(i, (i + 1) % 4) for i in range(4)] + [(4 + i, 4 + (i + 1) % 4) for i in range(4)]
+                     + [(i, 4 + i) for i in range(4)])
+    petersen = tn.Graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                        + [(i, 5 + i) for i in range(5)])
+    nets = [tn.counting.coloring_network(g) for g in (prism, petersen)]
+    nets += invariant_networks(monkeypatch)
+    assert len(nets) == 5
+    nets += [tn.counting.formula_to_network(random_3sat(n, m, gen)) for n, m in [(8, 16), (6, 26), (20, 40)] * 8]
+    nets += [random_feature_network(gen) for _ in range(20)]
+    nets += [random_multigraph_network(gen, dim) for dim in (1, 2, 2, 3) * 25]
+    for net in nets:
+        plan, expect = net.greedy_plan(), reference_greedy_plan(net)
+        assert plan.merges == expect.merges
+        assert plan.peak_size == expect.peak_size
+
+
+@pytest.mark.parametrize("formula", [tn.CnfFormula(3000, []), random_3sat(300, 600, np.random.default_rng(8))],
+                         ids=["empty-3000", "3sat-300-600"])
+def test_greedy_plan_is_fast_on_large_networks(formula):
+    # the rescanning greedy took 3.3 s and 1.8 s on these
+    net = tn.counting.formula_to_network(formula)
+    t0 = time.perf_counter()
+    plan = net.greedy_plan()
+    assert time.perf_counter() - t0 < 0.5
+    assert net.plan_peak(plan.merges) == plan.peak_size
