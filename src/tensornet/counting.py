@@ -5,9 +5,14 @@ brute-force oracle.
 A CNF formula becomes one clause tensor per clause (1 except 0 at the
 clause's falsifying assignment; a chain of order-3 pieces for clauses wider
 than 3) joined to a chain of order-3 COPY tensors per variable; a graph
-becomes one order-3 epsilon per node.  Counts are logged at DEBUG level on
-the ``tensornet`` logger with the network size, the plan peak, the planning
-time and the contraction time.
+becomes one order-3 epsilon per node.  The COPY tensors and the <+| caps
+are spiders (``TensorNetwork.add_spider``): the engine fuses each variable's
+chain into one index shared by the clause tensors that read it, so a count
+plans and contracts the clause tensors only, every intermediate is indexed
+by distinct variables, and an unused variable is a scalar factor 2.  Counts
+are logged at DEBUG level on the ``tensornet`` logger with the network size
+(every node and bond, spiders included), the plan peak, the planning time
+and the contraction time.
 """
 
 from __future__ import annotations
@@ -189,7 +194,9 @@ def _formula_layer(net: TensorNetwork, f: CnfFormula, bra: bool) -> list[tuple[i
     ``copy_tensor(3, 0)`` first, then k - 2 links of ``copy_tensor(2, 1)``.
     A variable with k <= 1 occurrences is a single ``copy_tensor(k + 1, 0)``.
     The chain carries the open state wire plus one feed per occurrence,
-    bonded to the clause wires in clause order.
+    bonded to the clause wires in clause order.  COPY tensors are added as
+    spiders, so the engine fuses each chain back into one shared index and
+    plans and contracts the clause tensors only.
 
     Returns one open variable end per variable, in variable order (the
     state wires of |f>).  With ``bra=True`` every tensor is replaced by its
@@ -202,11 +209,11 @@ def _formula_layer(net: TensorNetwork, f: CnfFormula, bra: bool) -> list[tuple[i
     """
     made: dict[tuple, Tensor] = {}  # (constructor, arguments) -> tensor
 
-    def node(build, *args) -> int:
+    def node(add, build, *args) -> int:
         t = made.get((build, args))
         if t is None:
             t = made[build, args] = dagger(build(*args)) if bra else build(*args)
-        return net.add(t)
+        return add(t)
 
     occurrences = [0] * (f.num_vars + 1)
     for clause in f.clauses:
@@ -218,11 +225,11 @@ def _formula_layer(net: TensorNetwork, f: CnfFormula, bra: bool) -> list[tuple[i
     for v in range(1, f.num_vars + 1):
         k = occurrences[v]
         head = min(k, 2)
-        nid = node(catalog.copy_tensor, head + 1, 0)
+        nid = node(net.add_spider, catalog.copy_tensor, head + 1, 0)
         open_ends.append((nid, "o0"))
         ends = [(nid, f"o{j}") for j in range(1, head + 1)]
         for _ in range(k - 2):
-            nid = node(catalog.copy_tensor, 2, 1)
+            nid = node(net.add_spider, catalog.copy_tensor, 2, 1)
             net.connect(ends.pop(), (nid, "i0"))
             ends += [(nid, "o0"), (nid, "o1")]
         feeds[v] = iter(ends)
@@ -230,7 +237,7 @@ def _formula_layer(net: TensorNetwork, f: CnfFormula, bra: bool) -> list[tuple[i
     for clause in f.clauses:
         prev = None
         for js, positive, flag_in, flag_out in _clause_pieces(clause):
-            cid = node(_clause_piece, js, positive, flag_in, flag_out)
+            cid = node(net.add, _clause_piece, js, positive, flag_in, flag_out)
             if prev is not None:
                 net.connect((prev, "s1"), (cid, "s0"))
             for j in js:
@@ -250,12 +257,12 @@ def formula_to_network(f: CnfFormula) -> TensorNetwork:
     """Fully closed network whose contraction is sum_x f(x).
 
     Every variable wire is capped with the unnormalized <+| = <0| + <1|,
-    which sums over all assignments.
+    which sums over all assignments; the cap is an order-1 spider.
     """
     net, ends = formula_state_network(f)
     plus = Tensor([1, 1], [WireSpec("b", 2, LOWER)])
     for end in ends:
-        net.connect(end, (net.add(plus), "b"))
+        net.connect(end, (net.add_spider(plus), "b"))
     return net
 
 

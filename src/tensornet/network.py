@@ -1,14 +1,24 @@
-"""Tensor network graphs, greedy contraction ordering, and the
-entanglement invariants that are naturally expressed as networks."""
+"""Tensor network graphs, contraction planning by index elimination, and the
+entanglement invariants that are naturally expressed as networks.
+
+A network holds tensor nodes joined by two-ended bonds, plus spiders: COPY
+(delta) tensors added with ``TensorNetwork.add_spider``.  By the spider-fusion
+identity a connected group of spiders is one index shared by every wire
+bonded to it, so planning and contraction see only the other nodes, each as
+a list of index names, and a count over clause tensors joined by COPY
+tensors contracts its clause tensors only.
+"""
 
 from __future__ import annotations
 
 import functools
 import heapq
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import catalog
 from .errors import MAX_ELEMENTS, ShapeError, SizeLimitError, WireError
@@ -25,24 +35,146 @@ class ContractionPlan:
     peak_size: int = 0
 
 
+@dataclass
+class _Fused:
+    """A network with its spiders fused into shared indices.
+
+    Index names: a bond between two other nodes is its bond index, a group
+    of spiders is ``-1 - (its smallest spider id)``, an open wire of another
+    node is its ``(node id, label)`` end.
+    """
+
+    wires: dict[int, list]  # node -> index name of each wire, in wire order
+    indices: dict[int, set]  # node -> the names it keeps once loaded (see _load)
+    holders: dict  # name -> the nodes that hold it once loaded
+    dims: dict  # name -> dimension
+    kept: set  # names of open ends: never summed
+    open_ends: list  # unbonded wire ends, by node id, then in wire order
+    open_names: list  # name of each open end
+    loose: list  # open spider groups that no node holds
+    scale: float  # product of the dims of closed spider groups that no node holds
+
+
+def _is_delta(t: Tensor) -> bool:
+    """Every wire of one dimension d, 1 where all indices agree, else 0."""
+    d = t.wires[0].dim
+    if any(w.dim != d for w in t.wires):
+        return False
+    flat = t.data.reshape(-1)
+    step = sum(d**j for j in range(len(t.wires)))  # flat distance from (i, ..., i) to (i+1, ..., i+1)
+    return flat[::step].tolist() == [1] * d and np.count_nonzero(flat) == d
+
+
+def _load(x: np.ndarray, ns: list, keep: set) -> tuple[np.ndarray, list]:
+    """A node's array and index names as contraction starts: a bond name
+    that appears twice (a self-loop) is traced, a spider group held on
+    several wires is reduced to its diagonal, and every name outside
+    ``keep`` is summed."""
+    if len(set(ns)) < len(ns):
+        for loop in [n for k, n in enumerate(ns) if n in ns[k + 1:] and isinstance(n, int) and n >= 0]:
+            i, j = [k for k, n in enumerate(ns) if n == loop]
+            x = np.trace(x, axis1=i, axis2=j)
+            del ns[j], ns[i]
+        while len(set(ns)) < len(ns):
+            group = next(n for k, n in enumerate(ns) if n in ns[k + 1:])
+            i, j = [k for k, n in enumerate(ns) if n == group][:2]
+            x = np.diagonal(x, axis1=i, axis2=j)  # the diagonal axis goes last
+            del ns[j], ns[i]
+            ns.append(group)
+    if len(ns) > len(keep):  # keep is a subset of the names
+        x = x.sum(axis=tuple(k for k, n in enumerate(ns) if n not in keep))
+        ns = [n for n in ns if n in keep]
+    return x, ns
+
+
+class _Sizes:
+    """The size model shared by planning and ``plan_peak``: the index set
+    of every node left while merges are followed, and its size in elements.
+    A merge sums each index that no other remaining node holds and that is
+    not open; every other index of the pair stays, once."""
+
+    def __init__(self, fused: _Fused):
+        self.indices = {nid: set(ix) for nid, ix in fused.indices.items()}
+        self.holders = {n: set(h) for n, h in fused.holders.items()}
+        self.dims, self.kept = fused.dims, fused.kept
+        self.sizes = {nid: self.size(ix) for nid, ix in self.indices.items()}
+
+    def size(self, names) -> int:
+        return math.prod(map(self.dims.__getitem__, names))
+
+    def bucket_size(self, group: set) -> int:
+        """Size of the node that merging every node in ``group`` leaves.
+
+        Only the indices of the group's other nodes are scanned, not those
+        of its widest node: an index that is summed is held by two nodes of
+        the group (a closed index on one node alone is summed when it gets
+        there), so it is among them."""
+        wide = max(group, key=lambda g: len(self.indices[g]))
+        base = self.indices[wide]
+        rest = set().union(*[self.indices[g] for g in group if g != wide])
+        summed = [n for n in rest if n not in self.kept and self.holders[n] <= group]
+        return self.sizes[wide] * self.size(rest - base) // self.size(summed)
+
+    def bonded(self, a: int, b: int) -> bool:
+        return a != b and a in self.indices and b in self.indices and not self.indices[a].isdisjoint(self.indices[b])
+
+    def merge(self, a: int, b: int) -> int:
+        """Merge a and b (the smaller id keeps the result); return its size."""
+        keep, drop = min(a, b), max(a, b)
+        pair, left = {a, b}, set()
+        for n in self.indices[keep] | self.indices.pop(drop):
+            h = self.holders[n]
+            if n in self.kept or not h <= pair:
+                left.add(n)
+                if drop in h:
+                    h.discard(drop)
+                    h.add(keep)
+            else:
+                del self.holders[n]
+        del self.sizes[drop]
+        self.indices[keep] = left
+        self.sizes[keep] = self.size(left)
+        return self.sizes[keep]
+
+
 class TensorNetwork:
     """Multigraph of tensor nodes joined by bonds.
 
     Bonds join wires of equal dimension and opposite flavor; a wire can
     participate in at most one bond.  Nodes may be mutated (added,
     connected) until contraction, which is a pure function of the network.
+    Every ``add``, ``add_spider`` and ``connect`` starts a new version of
+    the network; the fused view is built once per version.
     """
 
     def __init__(self):
         self._nodes: dict[int, Tensor] = {}
+        self._spiders: set[int] = set()
         self._bonds: list[tuple[End, End]] = []
         self._bond_of: dict[End, int] = {}  # bonded end -> index in _bonds
         self._next_id = 0
+        self._version = 0
+        self._deltas: dict[int, Tensor] = {}  # id -> tensor checked by add_spider
+        self._fused: tuple[int, _Fused] | None = None  # (version, view)
+        self._planned: tuple | None = None  # (version, plan, its merges, its peak) of greedy_plan
 
     def add(self, t: Tensor) -> int:
         nid = self._next_id
         self._next_id += 1
+        self._version += 1
         self._nodes[nid] = t
+        return nid
+
+    def add_spider(self, t: Tensor) -> int:
+        """Add a COPY (delta) tensor as a spider: planning and contraction
+        fuse each connected group of spiders into one shared index.  Raises
+        ``ShapeError`` for any other tensor."""
+        if self._deltas.get(id(t)) is not t:
+            if not t.wires or not _is_delta(t):
+                raise ShapeError(f"add_spider needs a COPY (delta) tensor, got {t!r}")
+            self._deltas[id(t)] = t
+        nid = self.add(t)
+        self._spiders.add(nid)
         return nid
 
     @property
@@ -70,158 +202,249 @@ class TensorNetwork:
                 raise WireError(f"wire already bonded: {end}")
         self._bond_of[end_a] = self._bond_of[end_b] = len(self._bonds)
         self._bonds.append((end_a, end_b))
+        self._version += 1
 
     def open_wires(self) -> list[End]:
-        out = []
-        for nid in sorted(self._nodes):
-            for w in self._nodes[nid].wires:
-                if (nid, w.label) not in self._bond_of:
-                    out.append((nid, w.label))
-        return out
+        """Unbonded wire ends, by node id, then in wire order."""
+        return list(self._fuse().open_ends)
 
     # -- contraction ---------------------------------------------------
 
-    def _sizes_and_cuts(self) -> tuple[dict[int, int], dict[int, dict[int, int]]]:
-        """Size in elements of every node after its self-loops are traced,
-        and for every node the product of its bond dimensions to each
-        neighbor."""
-        sizes = {nid: t.data.size for nid, t in self._nodes.items()}
-        cuts: dict[int, dict[int, int]] = {nid: {} for nid in self._nodes}
-        for (na, la), (nb, _) in self._bonds:
-            d = self._wire((na, la)).dim
-            if na == nb:  # self-loop: trace shrinks the node, no pair merge
-                sizes[na] //= d * d
-            else:
-                cuts[na][nb] = cuts[nb][na] = cuts[na].get(nb, 1) * d
-        return sizes, cuts
+    def _fuse(self) -> _Fused:
+        """The other nodes as index names, each connected group of spiders
+        collapsed into one name (built once per version).
 
-    @staticmethod
-    def _merge_sizes(sizes: dict[int, int], cuts: dict[int, dict[int, int]], a: int, b: int) -> int:
-        """Merge bonded nodes a and b in ``sizes`` and ``cuts`` (the smaller
-        id keeps the result, as in contraction); return the merged size."""
-        keep, drop = min(a, b), max(a, b)
-        cut = cuts[a].pop(b)
-        del cuts[b][a]
-        sizes[keep] = sizes[a] * sizes[b] // (cut * cut)
-        del sizes[drop]
-        for other, d in cuts.pop(drop).items():
-            del cuts[other][drop]
-            cuts[keep][other] = cuts[other][keep] = cuts[keep].get(other, 1) * d
-        return sizes[keep]
+        A wire bonded to a spider takes its group's name; an open wire on a
+        spider keeps the group open; a closed group that no other node
+        holds becomes a scalar factor equal to its dimension.
+        """
+        if self._fused is not None and self._fused[0] == self._version:
+            return self._fused[1]
+        root = {s: s for s in self._spiders}
+
+        def find(s: int) -> int:
+            while root[s] != s:
+                root[s] = s = root[root[s]]
+            return s
+
+        for (na, _), (nb, _) in self._bonds:
+            if na in root and nb in root:
+                ra, rb = find(na), find(nb)
+                root[max(ra, rb)] = min(ra, rb)
+
+        bonds, bond_of = self._bonds, self._bond_of
+        wires, holders, dims, open_ends, open_names = {}, {}, {}, [], []
+        for nid in sorted(self._nodes):
+            spider = nid in root
+            if not spider:
+                ns = wires[nid] = []
+            for w in self._nodes[nid].wires:
+                end = (nid, w.label)
+                k = bond_of.get(end)
+                if spider:
+                    if k is None:
+                        open_ends.append(end)
+                        open_names.append(-1 - find(nid))
+                    continue
+                if k is None:
+                    n = end
+                    open_ends.append(end)
+                    open_names.append(end)
+                else:
+                    a, b = bonds[k]
+                    other = (b if a == end else a)[0]
+                    n = -1 - find(other) if other in root else k
+                ns.append(n)
+                dims[n] = w.dim
+                holders.setdefault(n, set()).add(nid)
+        kept = set(open_names)
+        indices = {nid: {n for n in ns if n in kept or len(holders[n]) > 1} for nid, ns in wires.items()}
+        loose, scale = [], 1.0
+        for s in sorted(root):
+            if root[s] == s:
+                group = -1 - s
+                dims[group] = self._nodes[s].wires[0].dim
+                if group in holders:
+                    continue
+                if group in kept:
+                    loose.append(group)
+                else:
+                    scale *= dims[group]
+        holders = {n: h for n, h in holders.items() if n in kept or len(h) > 1}
+        fused = _Fused(wires, indices, holders, dims, kept, open_ends, open_names, loose, scale)
+        self._fused = (self._version, fused)
+        return fused
 
     def greedy_plan(self) -> ContractionPlan:
-        """Deterministic greedy ordering: repeatedly merge the bonded pair
-        whose contraction yields the smallest tensor, ties broken by the
-        lowest (node id, node id) pair.
+        """Deterministic plan by index elimination on the fused network.
 
-        Candidates wait in a heap of (merged size, a, b) with a < b, so the
-        best pair is popped instead of found by rescanning every bonded pair.
-        A merge pushes one entry per neighbor of the merged node; an entry
-        whose pair is no longer bonded, or whose merged size has changed, is
-        skipped when popped.  So a merge costs O(d log H) for a merged node
-        of degree d and H heap entries, where a rescan costs O(B) for B bonds.
+        It repeatedly takes the live index (one that two or more nodes
+        hold) whose bucket gives the smallest tensor, ties broken by the
+        sorted tuple of its holders.  A bucket is all the index's holders
+        merged, with every index that no remaining node holds, and that is
+        not open, summed.  The holders are merged pairwise, smallest first.
+
+        On a network without spiders every bucket is one bonded pair, so
+        this is the greedy that merges the pair with the smallest result
+        first, ties broken by the lowest (node id, node id) pair.
+
+        Buckets wait in a heap of (size, holders, index); an entry whose
+        bucket has changed is skipped when popped.  Only the indices of a
+        bucket's result change their buckets, so eliminating an index
+        pushes one entry per index d of the result.  Sizing a bucket scans
+        the indices of its nodes but the widest (``_Sizes.bucket_size``),
+        so an elimination costs O(d (s + log H)) for s scanned indices and
+        H heap entries; planning random 3-SAT with 300 variables and 600
+        clauses takes about 0.2 s on 2 vCPUs.
         """
-        sizes, cuts = self._sizes_and_cuts()
-        plan = ContractionPlan(peak_size=max(sizes.values(), default=1))
+        model = _Sizes(self._fuse())
+        plan = ContractionPlan(peak_size=max(model.sizes.values(), default=1))
+        current = {}  # index -> its bucket's (size, holders)
+        heap = []
 
-        def merged(a: int, b: int) -> int:
-            cut = cuts[a][b]
-            return sizes[a] * sizes[b] // (cut * cut)
+        def push(x) -> None:
+            group = model.holders[x]
+            if len(group) > 1:
+                current[x] = key = (model.bucket_size(group), tuple(sorted(group)))
+                heapq.heappush(heap, (*key, x))
+            else:  # an open index left on one node
+                current.pop(x, None)
 
-        heap = [(merged(a, b), a, b) for a, nbrs in cuts.items() for b in nbrs if a < b]
-        heapq.heapify(heap)
+        for x in model.holders:
+            push(x)
         while heap:
-            size, a, b = heapq.heappop(heap)
-            if b not in cuts.get(a, ()) or merged(a, b) != size:
+            size, group, x = heapq.heappop(heap)
+            if x not in model.holders or current.get(x) != (size, group):  # summed, or changed
                 continue
-            plan.merges.append((a, b))
-            plan.peak_size = max(plan.peak_size, self._merge_sizes(sizes, cuts, a, b))
-            for other in cuts[a]:
-                heapq.heappush(heap, (merged(a, other), min(a, other), max(a, other)))
+            del current[x]
+            queue = [(model.sizes[g], g) for g in group]
+            heapq.heapify(queue)
+            while len(queue) > 1:
+                (_, a), (_, b) = heapq.heappop(queue), heapq.heappop(queue)
+                a, b = min(a, b), max(a, b)
+                plan.merges.append((a, b))
+                merged = model.merge(a, b)
+                plan.peak_size = max(plan.peak_size, merged)
+                heapq.heappush(queue, (merged, a))
+            for y in model.indices[queue[0][1]]:
+                push(y)
+        self._planned = (self._version, plan, list(plan.merges), plan.peak_size)
         return plan
 
     def plan_peak(self, merges: list[tuple[int, int]]) -> int:
-        """Largest tensor, in elements, among the nodes and the results of
-        the given merges.  Counting stops at the first merge of a missing
-        or unbonded pair, where contraction raises."""
-        sizes, cuts = self._sizes_and_cuts()
-        peak = max(sizes.values(), default=1)
+        """Largest tensor, in elements, among the loaded nodes and the
+        results of the given merges, in the size model of ``greedy_plan``.
+        Counting stops at the first merge of a missing or unbonded pair,
+        where contraction raises."""
+        model = _Sizes(self._fuse())
+        peak = max(model.sizes.values(), default=1)
         for a, b in merges:
-            if b not in cuts.get(a, {}):
+            if not model.bonded(a, b):
                 break
-            peak = max(peak, self._merge_sizes(sizes, cuts, a, b))
+            peak = max(peak, model.merge(a, b))
         return peak
 
     def contract_all(self, plan: ContractionPlan | None = None) -> Tensor:
         """Contract every bond; open wires survive in declared order.
 
-        Every wire end is named by the index of its bond, an open end by
-        itself.  A name that appears twice in one node is a self-loop, traced
-        when the node is loaded; a merge of the plan contracts every name
-        the two nodes share.  Disconnected components are combined by tensor
-        product in node-id order (scalars multiply).  The result does not
-        depend on the plan beyond floating point rounding.
+        Spiders are fused first (see ``_fuse``), so every other node is a
+        list of index names, and a node is loaded by ``_load``.  A merge of
+        the plan sums the names the two nodes share that no other remaining
+        node holds and that are not open; shared names still held elsewhere
+        are batch axes of one ``np.matmul``, and a merge without them is one
+        ``np.dot``.  Several open wires on one spider group give the
+        diagonal.  Disconnected pieces are combined by tensor product in
+        node-id order; scalar pieces, and the dimension of each closed
+        group that no node holds, multiply as Python numbers.  The result
+        does not depend on the plan beyond floating point rounding.
 
         Raises ``SizeLimitError`` before contracting anything when a merge
-        of the plan (given or computed), sized from the node shapes by
-        ``plan_peak``, or the tensor product of the disconnected pieces,
-        needs more than ``MAX_ELEMENTS`` elements.
+        of the plan, or the result, needs more than ``MAX_ELEMENTS``
+        elements.  A plan that ``greedy_plan`` made at the current version
+        carries its own peak; any other plan is sized by ``plan_peak``.
         """
-        if not self._nodes:
-            return Tensor(np.array(1.0 + 0.0j), [])
+        fused = self._fuse()
         if plan is None:
             plan = self.greedy_plan()
-        open_order = self.open_wires()
-        need = max(self.plan_peak(plan.merges), math.prod(self._wire(end).dim for end in open_order))
+        own = self._planned
+        if own is not None and own[0] == self._version and own[1] is plan and own[2] == plan.merges:
+            peak = own[3]
+        else:
+            peak = self.plan_peak(plan.merges)
+        open_dims = [fused.dims[n] for n in fused.open_names]
+        need = max(peak, math.prod(open_dims))
         if need > MAX_ELEMENTS:
             raise SizeLimitError(
                 f"contraction needs a {need}-element tensor (2^{math.log2(need):.1f}), "
                 f"over the limit of 2^{math.log2(MAX_ELEMENTS):.0f} elements"
             )
 
-        arrays = {nid: t.data for nid, t in self._nodes.items()}
-        names = {
-            nid: [self._bond_of.get((nid, w.label), (nid, w.label)) for w in t.wires]
-            for nid, t in self._nodes.items()
-        }
-        for nid, ns in names.items():
-            for loop in [n for k, n in enumerate(ns) if n in ns[k + 1:]]:
-                i, j = [k for k, n in enumerate(ns) if n == loop]
-                arrays[nid] = np.trace(arrays[nid], axis1=i, axis2=j)
-                del ns[j], ns[i]
+        arrays, names = {}, {}
+        for nid, ns in fused.wires.items():
+            arrays[nid], names[nid] = _load(self._nodes[nid].data, list(ns), fused.indices[nid])
+        held = {n: len(h) for n, h in fused.holders.items()}  # remaining nodes holding each name
 
+        dims, kept = fused.dims, fused.kept
         for a, b in plan.merges:
             if a not in arrays or b not in arrays:
                 raise WireError(f"plan refers to missing node pair ({a}, {b})")
-            shared = set(names[a]).intersection(names[b]) if a != b else set()
+            na, nb = names[a], names[b]
+            shared = set(na).intersection(nb) if a != b else ()
             if not shared:
                 raise WireError(f"plan merges unbonded nodes ({a}, {b})")
-            # np.tensordot's layout and its np.dot, without its argument
-            # handling: a's free axes then the shared ones in a's order, times
-            # b's shared axes then its free ones
-            xa, xb, na, nb = arrays.pop(a), arrays.pop(b), names.pop(a), names.pop(b)
-            free_a = [i for i, n in enumerate(na) if n not in shared]
-            axes_a = [i for i, n in enumerate(na) if n in shared]
-            axes_b = [nb.index(na[i]) for i in axes_a]
-            free_b = [i for i, n in enumerate(nb) if n not in shared]
-            k = math.prod(xa.shape[i] for i in axes_a)
-            out = np.dot(xa.transpose(free_a + axes_a).reshape(-1, k), xb.transpose(axes_b + free_b).reshape(k, -1))
+            xa, xb = arrays.pop(a), arrays.pop(b)
+            del names[a], names[b]
+            for n in shared:
+                held[n] -= 1
+            batch = [n for n in na if n in shared and (n in kept or held[n] > 1)]
+            summed = [n for n in na if n in shared and n not in batch]
+            free_a = [n for n in na if n not in shared]
+            free_b = [n for n in nb if n not in shared]
+            k = math.prod(dims[n] for n in summed)
+            if batch:
+                # one matmul, the shared names still held elsewhere as batch axes
+                nbatch = math.prod(dims[n] for n in batch)
+                out = np.matmul(xa.transpose([na.index(n) for n in batch + free_a + summed]).reshape(nbatch, -1, k),
+                                xb.transpose([nb.index(n) for n in batch + summed + free_b]).reshape(nbatch, k, -1))
+            else:
+                # np.tensordot's layout and its np.dot, without its argument
+                # handling: a's free axes then the shared ones in a's order,
+                # times b's shared axes then its free ones
+                out = np.dot(xa.transpose([na.index(n) for n in free_a + summed]).reshape(-1, k),
+                             xb.transpose([nb.index(n) for n in summed + free_b]).reshape(k, -1))
             keep = min(a, b)
-            arrays[keep] = out.reshape([xa.shape[i] for i in free_a] + [xb.shape[i] for i in free_b])
-            names[keep] = [na[i] for i in free_a] + [nb[i] for i in free_b]
+            names[keep] = batch + free_a + free_b
+            arrays[keep] = out.reshape([dims[n] for n in names[keep]])
 
-        # bonds are named by int, open ends by (node id, label)
-        if any(isinstance(n, int) for ns in names.values() for n in ns):
+        if any(held[n] > 1 for ns in names.values() for n in ns):
             raise WireError("plan did not touch every bond")
 
-        # outer-product the remaining (disconnected) pieces in id order
+        # multiply the scalar pieces; outer-product the others in id order
         nids = sorted(arrays)
-        data = functools.reduce(lambda x, y: np.tensordot(x, y, axes=0), [arrays[nid] for nid in nids])
-        all_names = [n for nid in nids for n in names[nid]]
-        data = np.transpose(data, [all_names.index(end) for end in open_order])
+        scalars = [arrays[nid].item() for nid in nids if not names[nid]]
+        if fused.scale != 1:
+            scalars.append(fused.scale)
+        pieces = [(arrays[nid], names[nid]) for nid in nids if names[nid]]
+        pieces += [(np.ones(fused.dims[g], dtype=complex), [g]) for g in fused.loose]
+        value = functools.reduce(operator.mul, scalars) if scalars else 1.0
+        if not pieces:
+            data = np.array(value, dtype=complex)
+        else:
+            data = functools.reduce(lambda x, y: np.tensordot(x, y, axes=0), [x for x, _ in pieces])
+            if scalars:
+                data = data * value
+        all_names = [n for _, ns in pieces for n in ns]
+        distinct = list(dict.fromkeys(fused.open_names))
+        data = np.transpose(data, [all_names.index(n) for n in distinct])
+        if len(distinct) < len(open_dims):
+            # several open wires on one spider group: write the diagonal
+            full = np.zeros(open_dims, dtype=complex)
+            strides = [sum(s for s, m in zip(full.strides, fused.open_names) if m == n) for n in distinct]
+            as_strided(full, data.shape, strides)[...] = data
+            data = full
         wires = []
         taken = set()
-        for nid, label in open_order:
+        for nid, label in fused.open_ends:
             w = self._nodes[nid].wire(label)
             lab = label if label not in taken else f"n{nid}:{label}"
             taken.add(lab)

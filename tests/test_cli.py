@@ -113,7 +113,9 @@ def test_count_sat_dense_six_variable_formula(tmp_path, capsys):
 
 
 def test_count_sat_oversized_is_refused_exit_2(tmp_path, capsys):
-    f = write(tmp_path, "big.cnf", random_3sat_text(30, 128, 1))
+    text = random_3sat_text(80, 340, 1)
+    assert tn.formula_to_network(tn.parse_dimacs(text)).greedy_plan().peak_size > 2**26
+    f = write(tmp_path, "big.cnf", text)
     t0 = time.perf_counter()
     assert main(["count-sat", f]) == 2
     assert time.perf_counter() - t0 < 1.0
@@ -141,6 +143,20 @@ def test_count_sat_on_20000_unused_variables_finishes(tmp_path):
                           env=env, capture_output=True, text=True, timeout=30)
     assert proc.returncode == 3, proc.stderr
     assert "2^53" in proc.stderr
+
+
+def test_count_sat_on_200000_unused_variables_multiplies_scalars(tmp_path):
+    # every unused variable is a closed spider group, a scalar factor 2; the
+    # product overflows and is refused without one tensordot per variable
+    # (8.1 s when the 200000 scalar pieces were outer-multiplied)
+    f = write(tmp_path, "empty.cnf", "p cnf 200000 0\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "tensornet.cli", "count-sat", f],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert "2^53" in proc.stderr
+    assert time.perf_counter() - t0 < 4.0
 
 
 def test_memory_error_exit_3(tmp_path, capsys, monkeypatch):

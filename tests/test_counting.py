@@ -143,6 +143,35 @@ def test_plan_peak_regression(num_vars, num_clauses, bound):
         assert tn.count_sat(f).count == tn.brute_force_sat(f)
 
 
+@pytest.mark.parametrize("num_vars", range(8, 31, 2))
+def test_fused_plan_peak_is_at_most_the_truth_table(num_vars):
+    # COPY spiders fuse into one index per variable, so every tensor of the
+    # plan is indexed by distinct variables: never more than brute force's 2^n
+    for num_clauses in (2 * num_vars, (17 * num_vars) // 4):
+        for seed in range(3):
+            f = random_3sat(num_vars, num_clauses, seed)
+            assert formula_to_network(f).greedy_plan().peak_size <= 2**num_vars, (num_clauses, seed)
+
+
+@pytest.mark.parametrize("seed, count", [(1, 9), (2, 2)])
+def test_random_3sat_n20_m85_matches_brute_force(seed, count):
+    f = random_3sat(20, 85, seed)
+    assert tn.count_sat(f).count == tn.brute_force_sat(f) == count
+
+
+@pytest.mark.parametrize("seed, count", [(1, 35), (2, 25)])
+def test_random_3sat_n24_m100_counts(seed, count):
+    # brute-force values; the oracle takes about 7 s per formula at 24 variables
+    assert tn.count_sat(random_3sat(24, 100, seed)).count == count
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_random_3sat_n30_m128_is_counted_within_the_limit(seed):
+    f = random_3sat(30, 128, seed)
+    assert formula_to_network(f).greedy_plan().peak_size <= 2**26
+    assert tn.count_sat(f).count == boolean_norm_value(f)
+
+
 def test_network_nodes_have_low_order():
     f = random_3sat(20, 85, 0)
     net = formula_to_network(f)
@@ -204,13 +233,15 @@ def test_mixed_width_formulas_match_brute_force(seed):
 
 
 def test_oversized_count_is_refused_before_contracting(monkeypatch):
-    f = random_3sat(30, 128, 0)
+    f = random_3sat(80, 340, 0)
+    assert formula_to_network(f).greedy_plan().peak_size > 2**26
 
     def no_tensordot(*args, **kwargs):
         raise AssertionError("contracted before the size check")
 
     monkeypatch.setattr(np, "tensordot", no_tensordot)
     monkeypatch.setattr(np, "dot", no_tensordot)
+    monkeypatch.setattr(np, "matmul", no_tensordot)  # merges over a shared variable
     t0 = time.perf_counter()
     with pytest.raises(tn.SizeLimitError):
         tn.count_sat(f)

@@ -142,6 +142,95 @@ def test_contract_refuses_an_oversized_product_of_pieces():
         net.contract_all()
 
 
+def test_contract_all_sizes_every_plan_but_its_own_current_one(monkeypatch):
+    net = tn.TensorNetwork()
+    ids = [net.add(tn.matrix(rng.normal(size=(2, 2)))) for _ in range(3)]
+    net.connect((ids[0], "in"), (ids[1], "out"))
+    calls = []
+    plan_peak = tn.TensorNetwork.plan_peak
+    monkeypatch.setattr(tn.TensorNetwork, "plan_peak", lambda self, merges: calls.append(1) or plan_peak(self, merges))
+    plan = net.greedy_plan()
+    net.contract_all(plan)
+    assert calls == []  # made by greedy_plan at this version: its peak is trusted
+    net.contract_all(tn.network.ContractionPlan(merges=list(plan.merges)))
+    assert len(calls) == 1  # hand-built
+    net.connect((ids[1], "in"), (ids[2], "out"))
+    with pytest.raises(tn.WireError, match="plan did not touch every bond"):
+        net.contract_all(plan)
+    assert len(calls) == 2  # made before a later connect
+
+
+def test_a_plan_made_before_a_bond_is_sized_again(monkeypatch):
+    # c -- e and d -- f by wide bonds; the bond c -- d added after planning
+    # makes merging c and d first a 2^27-element tensor
+    up, low = tn.UPPER, tn.LOWER
+    net = tn.TensorNetwork()
+    c = net.add(tn.Tensor(np.ones((2, 2**14)), [tn.WireSpec("x", 2, up), tn.WireSpec("p", 2**14, up)]))
+    d = net.add(tn.Tensor(np.ones((2, 2**13)), [tn.WireSpec("x", 2, low), tn.WireSpec("q", 2**13, up)]))
+    e = net.add(tn.Tensor(np.ones(2**14), [tn.WireSpec("p", 2**14, low)]))
+    f = net.add(tn.Tensor(np.ones(2**13), [tn.WireSpec("q", 2**13, low)]))
+    net.connect((c, "p"), (e, "p"))
+    net.connect((d, "q"), (f, "q"))
+    plan = net.greedy_plan()
+    assert plan.merges == [(c, e), (d, f)] and plan.peak_size == 2**15
+    net.connect((c, "x"), (d, "x"))
+    plan.merges[:] = [(c, d), (c, e), (c, f)]
+    assert net.plan_peak(plan.merges) == 2**27
+
+    def no_dot(*args, **kwargs):
+        raise AssertionError("contracted before the size check")
+
+    monkeypatch.setattr(np, "tensordot", no_dot)
+    monkeypatch.setattr(np, "dot", no_dot)
+    with pytest.raises(tn.SizeLimitError):
+        net.contract_all(plan)
+
+
+def test_add_spider_refuses_a_tensor_that_is_not_copy():
+    net = tn.TensorNetwork()
+    for t in (tn.xor_tensor(2), tn.ket([1, 0]), tn.matrix(2 * np.eye(2)), tn.Tensor(np.array(1.0), []),
+              tn.Tensor(np.eye(2, 3), [tn.WireSpec("a", 2, tn.UPPER), tn.WireSpec("b", 3, tn.LOWER)])):
+        with pytest.raises(tn.ShapeError, match="COPY"):
+            net.add_spider(t)
+    assert net.nodes == {}
+    for t in (tn.copy_tensor(3, 0), tn.dagger(tn.copy_tensor(2, 1)), tn.matrix(np.eye(3)), tn.ket([1, 1, 1])):
+        net.add_spider(t)
+    assert len(net.nodes) == 4
+
+
+def test_lone_copy_spider_with_open_wires_contracts_to_its_data():
+    t = tn.copy_tensor(3, 0)
+    net = tn.TensorNetwork()
+    net.add_spider(t)
+    out = net.contract_all()
+    assert out.wires == t.wires
+    assert np.array_equal(out.data, t.data)
+    # one wire bonded to a bra: the two open wires carry its diagonal
+    k = net.add(tn.bra([2, 5], labels=["x"]))
+    net.connect((0, "o1"), (k, "x"))
+    out = net.contract_all()
+    assert out.labels == ("o0", "o2")
+    assert np.array_equal(out.data, np.diag([2, 5]))
+
+
+def test_closed_spider_group_contributes_its_dimension():
+    net = tn.TensorNetwork()
+    a = net.add_spider(tn.matrix(np.eye(3)))  # a ring of two identities of dimension 3
+    b = net.add_spider(tn.matrix(np.eye(3)))
+    net.connect((a, "in"), (b, "out"))
+    net.connect((b, "in"), (a, "out"))
+    c = net.add_spider(tn.copy_tensor(2, 1))  # a COPY spider with one self-loop, dimension 2
+    net.connect((c, "o0"), (c, "i0"))
+    net.connect((c, "o1"), (net.add_spider(tn.dagger(tn.plus_ket())), "o0"))
+    k = net.add(tn.ket([2, 5], labels=["x"]))
+    assert net.greedy_plan().merges == []
+    out = net.contract_all()
+    assert out.labels == ("x",)
+    assert np.array_equal(out.data, [2 * 3 * 2, 5 * 3 * 2])
+    net.add(tn.ket([1, 1], labels=["y"]))
+    assert net.contract_all().data.shape == (2, 2)
+
+
 def test_plan_merge_keeps_smaller_id():
     net = tn.TensorNetwork()
     a = net.add(tn.ket([1, 1], labels=["x"]))
@@ -316,10 +405,86 @@ def test_contract_all_matches_one_einsum_on_random_networks():
             assert np.allclose(out.data, expect, rtol=1e-12, atol=1e-12)
 
 
+def random_spider_network(gen):
+    """Random bonds among ordinary nodes with random entries and COPY
+    spiders of random order: spider groups shared by several nodes, held
+    twice by one node, open once or more, or closed and held by nobody;
+    every wire of one dimension."""
+    dim = int(gen.integers(2, 4))
+    k, spiders = int(gen.integers(1, 6)), int(gen.integers(1, 6))
+    wires = [[] for _ in range(k + spiders)]
+    bonds = []
+    for e in range(int(gen.integers(0, 14))):
+        u, v = (int(x) for x in gen.integers(k + spiders, size=2))
+        if len(wires[u]) > 3 or len(wires[v]) > 3:
+            continue
+        wires[u].append(tn.WireSpec(f"u{e}", dim, tn.UPPER))
+        wires[v].append(tn.WireSpec(f"l{e}", dim, tn.LOWER))
+        bonds.append(((u, f"u{e}"), (v, f"l{e}")))
+    for j in range(int(gen.integers(0, 3))):
+        wires[int(gen.integers(k + spiders))].append(tn.WireSpec(f"open{j}", dim, tn.UPPER))
+    net = tn.TensorNetwork()
+    for ws in wires[:k]:
+        net.add(tn.Tensor(gen.normal(size=dim ** len(ws)) + 1j * gen.normal(size=dim ** len(ws)), ws))
+    for ws in wires[k:]:
+        if not ws:
+            ws = [tn.WireSpec("lone", dim, tn.LOWER)]
+        delta = np.zeros((dim,) * len(ws))
+        for i in range(dim):
+            delta[(i,) * len(ws)] = 1
+        net.add_spider(tn.Tensor(delta, ws))
+    for end_a, end_b in bonds:
+        net.connect(end_a, end_b)
+    return net
+
+
+def test_spider_networks_match_one_einsum():
+    gen = np.random.default_rng(77)
+    for _ in range(200):
+        net = random_spider_network(gen)
+        expect = einsum_reference(net)
+        plan = net.greedy_plan()
+        assert net.plan_peak(plan.merges) == plan.peak_size
+        out = net.contract_all(plan)
+        assert [w.dim for w in out.wires] == list(expect.shape)
+        assert np.allclose(out.data, expect, rtol=1e-12, atol=1e-12)
+
+
+def _sizes_and_cuts(self) -> tuple[dict[int, int], dict[int, dict[int, int]]]:
+    """Size in elements of every node after its self-loops are traced,
+    and for every node the product of its bond dimensions to each
+    neighbor."""
+    sizes = {nid: t.data.size for nid, t in self._nodes.items()}
+    cuts: dict[int, dict[int, int]] = {nid: {} for nid in self._nodes}
+    for (na, la), (nb, _) in self._bonds:
+        d = self._wire((na, la)).dim
+        if na == nb:  # self-loop: trace shrinks the node, no pair merge
+            sizes[na] //= d * d
+        else:
+            cuts[na][nb] = cuts[nb][na] = cuts[na].get(nb, 1) * d
+    return sizes, cuts
+
+
+def _merge_sizes(sizes: dict[int, int], cuts: dict[int, dict[int, int]], a: int, b: int) -> int:
+    """Merge bonded nodes a and b in ``sizes`` and ``cuts`` (the smaller
+    id keeps the result, as in contraction); return the merged size."""
+    keep, drop = min(a, b), max(a, b)
+    cut = cuts[a].pop(b)
+    del cuts[b][a]
+    sizes[keep] = sizes[a] * sizes[b] // (cut * cut)
+    del sizes[drop]
+    for other, d in cuts.pop(drop).items():
+        del cuts[other][drop]
+        cuts[keep][other] = cuts[other][keep] = cuts[keep].get(other, 1) * d
+    return sizes[keep]
+
+
 def reference_greedy_plan(net):
-    """The greedy as it was before the heap: rescan every bonded pair on
-    each merge, O(N P).  Kept as the oracle for plan identity."""
-    sizes, cuts = net._sizes_and_cuts()
+    """The pair greedy as it was before the heap and before spider fusion:
+    rescan every bonded pair on each merge, O(N P), every node (spiders
+    too) a plain node.  Kept as the oracle for plan identity on networks
+    without spiders, and for plan peaks on networks with them."""
+    sizes, cuts = _sizes_and_cuts(net)
     plan = tn.network.ContractionPlan(peak_size=max(sizes.values(), default=1))
     while True:
         best = min(
@@ -330,7 +495,7 @@ def reference_greedy_plan(net):
             return plan
         _, a, b = best
         plan.merges.append((a, b))
-        plan.peak_size = max(plan.peak_size, net._merge_sizes(sizes, cuts, a, b))
+        plan.peak_size = max(plan.peak_size, _merge_sizes(sizes, cuts, a, b))
 
 
 def random_3sat(num_vars, num_clauses, gen):
@@ -388,13 +553,18 @@ def test_heap_greedy_plan_equals_the_rescanning_greedy(monkeypatch):
     nets = [tn.counting.coloring_network(g) for g in (prism, petersen)]
     nets += invariant_networks(monkeypatch)
     assert len(nets) == 5
-    nets += [tn.counting.formula_to_network(random_3sat(n, m, gen)) for n, m in [(8, 16), (6, 26), (20, 40)] * 8]
+    formulas = [random_3sat(n, m, gen) for n, m in [(8, 16), (6, 26), (20, 40)] * 8]
     nets += [random_feature_network(gen) for _ in range(20)]
     nets += [random_multigraph_network(gen, dim) for dim in (1, 2, 2, 3) * 25]
     for net in nets:
         plan, expect = net.greedy_plan(), reference_greedy_plan(net)
         assert plan.merges == expect.merges
         assert plan.peak_size == expect.peak_size
+    # formula networks fuse their COPY spiders: never a higher peak, the same count
+    for f in formulas:
+        net = tn.counting.formula_to_network(f)
+        assert net.greedy_plan().peak_size <= reference_greedy_plan(net).peak_size
+        assert tn.count_sat(f).count == tn.brute_force_sat(f)
 
 
 @pytest.mark.parametrize("formula", [tn.CnfFormula(3000, []), random_3sat(300, 600, np.random.default_rng(8))],
