@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -81,7 +82,7 @@ class CnfFormula:
             for lit in clause:
                 if lit == 0 or abs(lit) > self.num_vars:
                     raise ValueError(f"literal {lit} out of range for {self.num_vars} variables")
-            if any(-lit in clause for lit in clause):
+            if not set(clause).isdisjoint(map(operator.neg, clause)):
                 removed += 1
             else:
                 kept.append(clause)
@@ -209,39 +210,54 @@ def _formula_layer(net: TensorNetwork, f: CnfFormula, bra: bool) -> list[tuple[i
     """
     made: dict[tuple, Tensor] = {}  # (constructor, arguments) -> tensor
 
-    def node(add, build, *args) -> int:
+    def tensor(build, *args) -> Tensor:
         t = made.get((build, args))
         if t is None:
             t = made[build, args] = dagger(build(*args)) if bra else build(*args)
-        return add(t)
+        return t
 
     occurrences = [0] * (f.num_vars + 1)
     for clause in f.clauses:
         for lit in clause:
             occurrences[abs(lit)] += 1
 
+    heads = {h: tensor(catalog.copy_tensor, h + 1, 0) for h in sorted({min(k, 2) for k in occurrences[1:]})}
+    link = tensor(catalog.copy_tensor, 2, 1) if max(occurrences) > 2 else None
+
     open_ends = []
-    feeds = {}
+    feeds = [[]]  # per variable, its unused feed ends, the next one last
     for v in range(1, f.num_vars + 1):
         k = occurrences[v]
-        head = min(k, 2)
-        nid = node(net.add_spider, catalog.copy_tensor, head + 1, 0)
+        nid = net.add_spider(heads[min(k, 2)])
         open_ends.append((nid, "o0"))
-        ends = [(nid, f"o{j}") for j in range(1, head + 1)]
+        if k < 2:
+            feeds.append([(nid, "o1")] * k)
+            continue
+        ends, last = [(nid, "o1")], (nid, "o2")
         for _ in range(k - 2):
-            nid = node(net.add_spider, catalog.copy_tensor, 2, 1)
-            net.connect(ends.pop(), (nid, "i0"))
-            ends += [(nid, "o0"), (nid, "o1")]
-        feeds[v] = iter(ends)
+            nid = net.add_spider(link)
+            net.connect(last, (nid, "i0"))
+            ends.append((nid, "o0"))
+            last = (nid, "o1")
+        ends.append(last)
+        ends.reverse()
+        feeds.append(ends)
 
+    shapes = {}  # signs of a clause -> its pieces as (tensor, ((variable position, wire label), ...))
     for clause in f.clauses:
+        signs = tuple(lit > 0 for lit in clause)
+        pieces = shapes.get(signs)
+        if pieces is None:
+            pieces = shapes[signs] = [(tensor(_clause_piece, js, positive, flag_in, flag_out),
+                                       tuple((j, f"i{j}") for j in js))
+                                      for js, positive, flag_in, flag_out in _clause_pieces(clause)]
         prev = None
-        for js, positive, flag_in, flag_out in _clause_pieces(clause):
-            cid = node(net.add, _clause_piece, js, positive, flag_in, flag_out)
+        for t, reads in pieces:
+            cid = net.add(t)
             if prev is not None:
                 net.connect((prev, "s1"), (cid, "s0"))
-            for j in js:
-                net.connect(next(feeds[abs(clause[j])]), (cid, f"i{j}"))
+            for j, label in reads:
+                net.connect(feeds[abs(clause[j])].pop(), (cid, label))
             prev = cid
     return open_ends
 

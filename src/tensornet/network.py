@@ -105,15 +105,24 @@ class _Sizes:
     def bucket_size(self, group: set) -> int:
         """Size of the node that merging every node in ``group`` leaves.
 
-        Only the indices of the group's other nodes are scanned, not those
-        of its widest node: an index that is summed is held by two nodes of
-        the group (a closed index on one node alone is summed when it gets
-        there), so it is among them."""
-        wide = max(group, key=lambda g: len(self.indices[g]))
-        base = self.indices[wide]
-        rest = set().union(*[self.indices[g] for g in group if g != wide])
-        summed = [n for n in rest if n not in self.kept and self.holders[n] <= group]
-        return self.sizes[wide] * self.size(rest - base) // self.size(summed)
+        Only the indices of the group's other nodes are scanned, once each,
+        not those of its widest node: an index that is summed is held by two
+        nodes of the group (a closed index on one node alone is summed when
+        it gets there), so it is among them."""
+        indices, dims, kept, holders = self.indices, self.dims, self.kept, self.holders
+        wide = max(group, key=lambda g: len(indices[g]))
+        base = indices[wide]
+        seen, grown, summed = set(), 1, 1
+        for g in group:
+            if g != wide:
+                for n in indices[g]:
+                    if n not in seen:
+                        seen.add(n)
+                        if n not in base:
+                            grown *= dims[n]
+                        if n not in kept and holders[n] <= group:
+                            summed *= dims[n]
+        return self.sizes[wide] * grown // summed
 
     def bonded(self, a: int, b: int) -> bool:
         return a != b and a in self.indices and b in self.indices and not self.indices[a].isdisjoint(self.indices[b])
@@ -153,6 +162,7 @@ class TensorNetwork:
         self._bonds: list[tuple[End, End]] = []
         self._bond_of: dict[End, int] = {}  # bonded end -> index in _bonds
         self._next_id = 0
+        self._ends = 0  # wire ends of all nodes: the network is closed when every one is bonded
         self._version = 0
         self._deltas: dict[int, Tensor] = {}  # id -> tensor checked by add_spider
         self._fused: tuple[int, _Fused] | None = None  # (version, view)
@@ -162,6 +172,7 @@ class TensorNetwork:
         nid = self._next_id
         self._next_id += 1
         self._version += 1
+        self._ends += len(t.wires)
         self._nodes[nid] = t
         return nid
 
@@ -187,9 +198,10 @@ class TensorNetwork:
 
     def _wire(self, end: End) -> WireSpec:
         nid, label = end
-        if nid not in self._nodes:
+        t = self._nodes.get(nid)
+        if t is None:
             raise WireError(f"no node {nid}")
-        return self._nodes[nid].wire(label)
+        return t.wire(label)
 
     def connect(self, end_a: End, end_b: End) -> None:
         wa, wb = self._wire(end_a), self._wire(end_b)
@@ -197,10 +209,10 @@ class TensorNetwork:
             raise WireError(f"bond {end_a}-{end_b}: dims {wa.dim} != {wb.dim}")
         if wa.flavor is wb.flavor:
             raise WireError(f"bond {end_a}-{end_b}: both wires are {wa.flavor.value}")
-        for end in (end_a, end_b):
-            if end in self._bond_of:
-                raise WireError(f"wire already bonded: {end}")
-        self._bond_of[end_a] = self._bond_of[end_b] = len(self._bonds)
+        bond_of = self._bond_of
+        if end_a in bond_of or end_b in bond_of:
+            raise WireError(f"wire already bonded: {end_a if end_a in bond_of else end_b}")
+        bond_of[end_a] = bond_of[end_b] = len(self._bonds)
         self._bonds.append((end_a, end_b))
         self._version += 1
 
@@ -233,19 +245,21 @@ class TensorNetwork:
                 root[max(ra, rb)] = min(ra, rb)
 
         bonds, bond_of = self._bonds, self._bond_of
+        closed = 2 * len(bonds) == self._ends  # then no spider wire is open
         wires, holders, dims, open_ends, open_names = {}, {}, {}, [], []
-        for nid in sorted(self._nodes):
-            spider = nid in root
-            if not spider:
-                ns = wires[nid] = []
-            for w in self._nodes[nid].wires:
+        for nid, t in self._nodes.items():  # ids are added in increasing order
+            if nid in root:
+                if not closed:
+                    for w in t.wires:
+                        end = (nid, w.label)
+                        if end not in bond_of:
+                            open_ends.append(end)
+                            open_names.append(-1 - find(nid))
+                continue
+            ns = wires[nid] = []
+            for w in t.wires:
                 end = (nid, w.label)
                 k = bond_of.get(end)
-                if spider:
-                    if k is None:
-                        open_ends.append(end)
-                        open_names.append(-1 - find(nid))
-                    continue
                 if k is None:
                     n = end
                     open_ends.append(end)
@@ -394,11 +408,13 @@ class TensorNetwork:
                 raise WireError(f"plan merges unbonded nodes ({a}, {b})")
             xa, xb = arrays.pop(a), arrays.pop(b)
             del names[a], names[b]
-            for n in shared:
+            batch, summed, free_a = [], [], []
+            for n in na:
+                if n not in shared:
+                    free_a.append(n)
+                    continue
                 held[n] -= 1
-            batch = [n for n in na if n in shared and (n in kept or held[n] > 1)]
-            summed = [n for n in na if n in shared and n not in batch]
-            free_a = [n for n in na if n not in shared]
+                (batch if n in kept or held[n] > 1 else summed).append(n)
             free_b = [n for n in nb if n not in shared]
             k = math.prod(dims[n] for n in summed)
             if batch:

@@ -57,13 +57,13 @@ class Tensor:
         Ordered wires; labels must be unique.
     """
 
-    __slots__ = ("wires", "data")
+    __slots__ = ("wires", "data", "_axes")
 
     def __init__(self, data, wires: Sequence[WireSpec]):
         wires = tuple(wires)
-        labels = [w.label for w in wires]
-        if len(set(labels)) != len(labels):
-            raise WireError(f"duplicate wire labels: {labels}")
+        axes = {w.label: i for i, w in enumerate(wires)}  # label -> axis
+        if len(axes) != len(wires):
+            raise WireError(f"duplicate wire labels: {[w.label for w in wires]}")
         dims = tuple(w.dim for w in wires)
         arr = np.asarray(data, dtype=complex)
         if arr.size != math.prod(dims):
@@ -72,6 +72,7 @@ class Tensor:
         arr.flags.writeable = False
         object.__setattr__(self, "wires", wires)
         object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "_axes", axes)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
@@ -92,10 +93,10 @@ class Tensor:
         return self.wires[self.axis(label)]
 
     def axis(self, label: str) -> int:
-        for i, w in enumerate(self.wires):
-            if w.label == label:
-                return i
-        raise WireError(f"no wire labeled {label!r} (have {list(self.labels)})")
+        try:
+            return self._axes[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label is no label either
+            raise WireError(f"no wire labeled {label!r} (have {list(self.labels)})") from None
 
     def item(self) -> complex:
         """The single component of an order-(0,0) tensor."""

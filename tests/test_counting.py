@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 import tensornet as tn
-from tensornet.counting import boolean_norm_value, formula_state_network, formula_to_network
+from tensornet.counting import (
+    _clause_piece,
+    _clause_pieces,
+    _formula_layer,
+    boolean_norm_value,
+    formula_state_network,
+    formula_to_network,
+)
 
 rng = np.random.default_rng(1234)
 
@@ -61,6 +68,19 @@ def test_parse_dimacs_errors_carry_line_numbers(text, line):
 def test_tautological_clauses_are_removed():
     f = tn.CnfFormula(2, [(1, -1), (1, 2)])
     assert f.clauses == [(1, 2)]
+    assert f.tautologies_removed == 1
+
+
+def test_wide_clauses_parse_in_linear_time():
+    # the tautology check was quadratic in clause width: 0.57 s at 8000 literals
+    n = 200_000
+    wide = list(range(1, n + 1))
+    hidden = wide[: n // 2] + [-(n // 3)] + wide[n // 2:]  # x and -x far apart
+    text = f"p cnf {n} 3\n{' '.join(map(str, wide))} 0\n{' '.join(map(str, hidden))} 0\n1 -2 0\n"
+    t0 = time.perf_counter()
+    f = tn.parse_dimacs(text)
+    assert time.perf_counter() - t0 < 1.0
+    assert f.clauses == [tuple(wide), (1, -2)]
     assert f.tautologies_removed == 1
 
 
@@ -170,6 +190,71 @@ def test_random_3sat_n30_m128_is_counted_within_the_limit(seed):
     f = random_3sat(30, 128, seed)
     assert formula_to_network(f).greedy_plan().peak_size <= 2**26
     assert tn.count_sat(f).count == boolean_norm_value(f)
+
+
+def reference_formula_layer(net, f, bra):
+    """``_formula_layer`` as it was before it took fewer Python steps, kept
+    as the oracle for the networks it builds: the same nodes, tensor
+    objects and bonds, in the same order."""
+    made = {}  # (constructor, arguments) -> tensor
+
+    def node(add, build, *args):
+        t = made.get((build, args))
+        if t is None:
+            t = made[build, args] = tn.dagger(build(*args)) if bra else build(*args)
+        return add(t)
+
+    occurrences = [0] * (f.num_vars + 1)
+    for clause in f.clauses:
+        for lit in clause:
+            occurrences[abs(lit)] += 1
+
+    open_ends = []
+    feeds = {}
+    for v in range(1, f.num_vars + 1):
+        k = occurrences[v]
+        head = min(k, 2)
+        nid = node(net.add_spider, tn.catalog.copy_tensor, head + 1, 0)
+        open_ends.append((nid, "o0"))
+        ends = [(nid, f"o{j}") for j in range(1, head + 1)]
+        for _ in range(k - 2):
+            nid = node(net.add_spider, tn.catalog.copy_tensor, 2, 1)
+            net.connect(ends.pop(), (nid, "i0"))
+            ends += [(nid, "o0"), (nid, "o1")]
+        feeds[v] = iter(ends)
+
+    for clause in f.clauses:
+        prev = None
+        for js, positive, flag_in, flag_out in _clause_pieces(clause):
+            cid = node(net.add, _clause_piece, js, positive, flag_in, flag_out)
+            if prev is not None:
+                net.connect((prev, "s1"), (cid, "s0"))
+            for j in js:
+                net.connect(next(feeds[abs(clause[j])]), (cid, f"i{j}"))
+            prev = cid
+    return open_ends
+
+
+def network_layout(net):
+    """Nodes (wires and components), which nodes share one tensor object,
+    and bonds, in order."""
+    first = {}
+    nodes = [(nid, t.wires, t.data.tobytes(), first.setdefault(id(t), nid)) for nid, t in net.nodes.items()]
+    return nodes, sorted(net._spiders), net.bonds
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_formula_layer_builds_the_reference_network(seed):
+    gen = np.random.default_rng(seed)
+    for k in range(8):
+        n = int(gen.integers(1, 10))
+        widths = gen.integers(1, 8 if k % 2 else 4, size=int(gen.integers(0, 3 * n)))
+        f = tn.CnfFormula(n, [tuple(int(v) * int(gen.choice([-1, 1])) for v in gen.choice(n, size=min(int(w), n), replace=False) + 1)
+                              for w in widths])
+        for bra in (False, True):
+            net, expect = tn.TensorNetwork(), tn.TensorNetwork()
+            assert _formula_layer(net, f, bra) == reference_formula_layer(expect, f, bra)
+            assert network_layout(net) == network_layout(expect)
 
 
 def test_network_nodes_have_low_order():

@@ -1,5 +1,6 @@
 """Tensor network graphs, contraction plans, and invariant networks."""
 
+import heapq
 import math
 import time
 
@@ -42,6 +43,26 @@ def test_connect_validation():
     with pytest.raises(tn.WireError, match=r"wire already bonded: \(1, 'y'\)"):
         net.connect((c, "z"), (b, "y"))
     assert net.open_wires() == [(c, "z"), (d, "w")]
+
+
+def test_connect_messages():
+    net = tn.TensorNetwork()
+    a = net.add(tn.ket([1, 0], labels=["x"]))
+    b = net.add(tn.bra([1, 0, 0], labels=["y"]))
+    c = net.add(tn.ket([0, 1], labels=["z"]))
+    e = net.add(tn.bra([0, 1], labels=["v"]))
+    with pytest.raises(tn.WireError, match=r"bond \(0, 'x'\)-\(1, 'y'\): dims 2 != 3"):
+        net.connect((a, "x"), (b, "y"))
+    with pytest.raises(tn.WireError, match=r"bond \(0, 'x'\)-\(2, 'z'\): both wires are upper"):
+        net.connect((a, "x"), (c, "z"))
+    with pytest.raises(tn.WireError, match=r"no wire labeled 'nope' \(have \['x'\]\)"):
+        net.connect((a, "nope"), (e, "v"))
+    with pytest.raises(tn.WireError, match="no node 9"):
+        net.connect((9, "x"), (e, "v"))
+    net.connect((a, "x"), (e, "v"))
+    assert net.bonds == [((a, "x"), (e, "v"))]
+    with pytest.raises(tn.WireError, match=r"wire already bonded: \(3, 'v'\)"):
+        net.connect((c, "z"), (e, "v"))
 
 
 def test_contract_matrix_chain():
@@ -496,6 +517,191 @@ def reference_greedy_plan(net):
         _, a, b = best
         plan.merges.append((a, b))
         plan.peak_size = max(plan.peak_size, _merge_sizes(sizes, cuts, a, b))
+
+
+class ReferenceSizes:
+    """``_Sizes`` as it was before bucket sizing took one pass, kept as the
+    oracle for plan identity on spider networks.  The size model shared by
+    planning and ``plan_peak``: the index set
+    of every node left while merges are followed, and its size in elements.
+    A merge sums each index that no other remaining node holds and that is
+    not open; every other index of the pair stays, once."""
+
+    def __init__(self, fused):
+        self.indices = {nid: set(ix) for nid, ix in fused.indices.items()}
+        self.holders = {n: set(h) for n, h in fused.holders.items()}
+        self.dims, self.kept = fused.dims, fused.kept
+        self.sizes = {nid: self.size(ix) for nid, ix in self.indices.items()}
+
+    def size(self, names) -> int:
+        return math.prod(map(self.dims.__getitem__, names))
+
+    def bucket_size(self, group: set) -> int:
+        """Size of the node that merging every node in ``group`` leaves.
+
+        Only the indices of the group's other nodes are scanned, not those
+        of its widest node: an index that is summed is held by two nodes of
+        the group (a closed index on one node alone is summed when it gets
+        there), so it is among them."""
+        wide = max(group, key=lambda g: len(self.indices[g]))
+        base = self.indices[wide]
+        rest = set().union(*[self.indices[g] for g in group if g != wide])
+        summed = [n for n in rest if n not in self.kept and self.holders[n] <= group]
+        return self.sizes[wide] * self.size(rest - base) // self.size(summed)
+
+    def bonded(self, a: int, b: int) -> bool:
+        return a != b and a in self.indices and b in self.indices and not self.indices[a].isdisjoint(self.indices[b])
+
+    def merge(self, a: int, b: int) -> int:
+        """Merge a and b (the smaller id keeps the result); return its size."""
+        keep, drop = min(a, b), max(a, b)
+        pair, left = {a, b}, set()
+        for n in self.indices[keep] | self.indices.pop(drop):
+            h = self.holders[n]
+            if n in self.kept or not h <= pair:
+                left.add(n)
+                if drop in h:
+                    h.discard(drop)
+                    h.add(keep)
+            else:
+                del self.holders[n]
+        del self.sizes[drop]
+        self.indices[keep] = left
+        self.sizes[keep] = self.size(left)
+        return self.sizes[keep]
+
+
+
+def reference_fuse(self):
+    """``TensorNetwork._fuse`` as it was before it skipped the spider ends
+    of closed networks, without its cache: the other nodes as index names,
+    each connected group of spiders collapsed into one name.
+
+    A wire bonded to a spider takes its group's name; an open wire on a
+    spider keeps the group open; a closed group that no other node
+    holds becomes a scalar factor equal to its dimension.
+    """
+    root = {s: s for s in self._spiders}
+
+    def find(s: int) -> int:
+        while root[s] != s:
+            root[s] = s = root[root[s]]
+        return s
+
+    for (na, _), (nb, _) in self._bonds:
+        if na in root and nb in root:
+            ra, rb = find(na), find(nb)
+            root[max(ra, rb)] = min(ra, rb)
+
+    bonds, bond_of = self._bonds, self._bond_of
+    wires, holders, dims, open_ends, open_names = {}, {}, {}, [], []
+    for nid in sorted(self._nodes):
+        spider = nid in root
+        if not spider:
+            ns = wires[nid] = []
+        for w in self._nodes[nid].wires:
+            end = (nid, w.label)
+            k = bond_of.get(end)
+            if spider:
+                if k is None:
+                    open_ends.append(end)
+                    open_names.append(-1 - find(nid))
+                continue
+            if k is None:
+                n = end
+                open_ends.append(end)
+                open_names.append(end)
+            else:
+                a, b = bonds[k]
+                other = (b if a == end else a)[0]
+                n = -1 - find(other) if other in root else k
+            ns.append(n)
+            dims[n] = w.dim
+            holders.setdefault(n, set()).add(nid)
+    kept = set(open_names)
+    indices = {nid: {n for n in ns if n in kept or len(holders[n]) > 1} for nid, ns in wires.items()}
+    loose, scale = [], 1.0
+    for s in sorted(root):
+        if root[s] == s:
+            group = -1 - s
+            dims[group] = self._nodes[s].wires[0].dim
+            if group in holders:
+                continue
+            if group in kept:
+                loose.append(group)
+            else:
+                scale *= dims[group]
+    holders = {n: h for n, h in holders.items() if n in kept or len(h) > 1}
+    return tn.network._Fused(wires, indices, holders, dims, kept, open_ends, open_names, loose, scale)
+
+
+
+def reference_elimination_plan(self):
+    """``greedy_plan`` as it was before its bookkeeping took fewer steps,
+    on ``reference_fuse`` and ``ReferenceSizes``: index elimination, the
+    smallest bucket first, ties broken by the sorted tuple of its holders,
+    each bucket merged pairwise, smallest first."""
+    model = ReferenceSizes(reference_fuse(self))
+    plan = tn.network.ContractionPlan(peak_size=max(model.sizes.values(), default=1))
+    current = {}  # index -> its bucket's (size, holders)
+    heap = []
+
+    def push(x) -> None:
+        group = model.holders[x]
+        if len(group) > 1:
+            current[x] = key = (model.bucket_size(group), tuple(sorted(group)))
+            heapq.heappush(heap, (*key, x))
+        else:  # an open index left on one node
+            current.pop(x, None)
+
+    for x in model.holders:
+        push(x)
+    while heap:
+        size, group, x = heapq.heappop(heap)
+        if x not in model.holders or current.get(x) != (size, group):  # summed, or changed
+            continue
+        del current[x]
+        queue = [(model.sizes[g], g) for g in group]
+        heapq.heapify(queue)
+        while len(queue) > 1:
+            (_, a), (_, b) = heapq.heappop(queue), heapq.heappop(queue)
+            a, b = min(a, b), max(a, b)
+            plan.merges.append((a, b))
+            merged = model.merge(a, b)
+            plan.peak_size = max(plan.peak_size, merged)
+            heapq.heappush(queue, (merged, a))
+        for y in model.indices[queue[0][1]]:
+            push(y)
+    return plan
+
+def random_formula_networks(gen):
+    """Closed (``formula_to_network``), open (``formula_state_network``) and
+    two-layer ``<f|f>`` networks of random formulas, half with clauses of
+    up to 7 literals."""
+    nets = []
+    for k in range(16):
+        n = int(gen.integers(3, 13))
+        widths = gen.integers(1, 8 if k % 2 else 4, size=int(gen.integers(0, 2 * n + 4)))
+        f = tn.CnfFormula(n, [tuple(int(v) * int(gen.choice([-1, 1])) for v in gen.choice(n, size=min(int(w), n), replace=False) + 1)
+                              for w in widths])
+        nets.append(tn.counting.formula_to_network(f))
+        nets.append(tn.counting.formula_state_network(f)[0])
+        net = tn.TensorNetwork()
+        for ket_end, bra_end in zip(tn.counting._formula_layer(net, f, bra=False), tn.counting._formula_layer(net, f, bra=True)):
+            net.connect(ket_end, bra_end)
+        nets.append(net)
+    return nets
+
+
+def test_elimination_plan_equals_the_reference_on_spider_networks():
+    gen = np.random.default_rng(53)
+    nets = random_formula_networks(gen) + [random_spider_network(gen) for _ in range(40)]
+    assert sum(bool(net.open_wires()) for net in nets) >= 16
+    for net in nets:
+        assert net._fuse() == reference_fuse(net)
+        plan, expect = net.greedy_plan(), reference_elimination_plan(net)
+        assert plan.merges == expect.merges
+        assert plan.peak_size == expect.peak_size
 
 
 def random_3sat(num_vars, num_clauses, gen):

@@ -19,6 +19,35 @@ def test_wire_labels_must_be_unique():
         tn.Tensor(np.zeros((2, 2)), [tn.WireSpec("a", 2, tn.UPPER), tn.WireSpec("a", 2, tn.LOWER)])
 
 
+def test_wire_lookup_by_label():
+    t = random_tensor([2, 3, 4], [tn.UPPER, tn.LOWER, tn.UPPER], ["a", "b", "c"])
+    assert [t.axis(l) for l in ("a", "b", "c")] == [0, 1, 2]
+    assert t.wire("b") == tn.WireSpec("b", 3, tn.LOWER)
+    with pytest.raises(tn.WireError, match=r"no wire labeled 'zz' \(have \['a', 'b', 'c'\]\)"):
+        t.axis("zz")
+    with pytest.raises(tn.WireError, match="no wire labeled 'zz'"):
+        t.wire("zz")
+    with pytest.raises(tn.WireError, match=r"duplicate wire labels: \['a', 'b', 'a'\]"):
+        tn.Tensor(np.zeros(8), [tn.WireSpec(l, 2, tn.UPPER) for l in "aba"])
+    # relabeled: a label moved away is gone, a collision is refused
+    r = t.relabeled({"a": "x", "c": "a"})
+    assert r.labels == ("x", "b", "a") and r.axis("a") == 2 and r.wire("x").dim == 2
+    with pytest.raises(tn.WireError, match="duplicate wire labels"):
+        t.relabeled({"a": "b"})
+    # dagger mirrors the wire order, so every label moves to its mirrored axis
+    d = tn.dagger(t)
+    assert [d.axis(l) for l in ("a", "b", "c")] == [2, 1, 0]
+    assert d.wire("b") == tn.WireSpec("b", 3, tn.UPPER)
+    # contract: a surviving label of b that is taken gets the first free suffix, in order
+    a = random_tensor([2, 3], [tn.UPPER, tn.LOWER], ["p", "q"])
+    b = random_tensor([3, 2, 2], [tn.UPPER, tn.LOWER, tn.UPPER], ["q", "p", "p_1"])
+    out = tn.contract(a, [("q", "q")], b)
+    assert out.labels == ("p", "p_1", "p_1_1")
+    assert [out.axis(l) for l in out.labels] == [0, 1, 2]
+    with pytest.raises(tn.WireError, match="no wire labeled 'nope'"):
+        tn.contract(a, [("nope", "q")], b)
+
+
 def test_data_size_must_match_wires():
     with pytest.raises(tn.ShapeError):
         tn.Tensor(np.zeros(3), [tn.WireSpec("a", 2, tn.UPPER)])
