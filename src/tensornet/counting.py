@@ -294,7 +294,8 @@ def boolean_norm_value(f: CnfFormula) -> complex:
 
 def _contract(net: TensorNetwork, what: str) -> complex:
     """Plan and contract a closed network; log its size, plan peak,
-    planning time and contraction time at DEBUG level.
+    planning time and contraction time at DEBUG level.  ``contract_all``
+    runs the plan made here: the network keeps it until it changes.
 
     A value past the float range comes out inf or NaN without numpy's
     overflow warnings; the caller judges it."""
@@ -302,7 +303,7 @@ def _contract(net: TensorNetwork, what: str) -> complex:
     plan = net.greedy_plan()
     planned = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
-        value = net.contract_all(plan).item()
+        value = net.contract_all().item()
     if log.isEnabledFor(logging.DEBUG):
         log.debug("%s: %d nodes, %d bonds, plan peak 2^%.1f elements, plan %.6f s, contract %.6f s",
                   what, len(net.nodes), len(net.bonds), math.log2(plan.peak_size), planned - start,

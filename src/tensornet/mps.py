@@ -92,6 +92,7 @@ def mps_from_dense(state: Tensor, policy: TrimPolicy | None = None) -> tuple[MPS
     if any(w.flavor is not UPPER for w in state.wires):
         raise ShapeError("mps_from_dense expects a ket (all wires UPPER)")
     dims = [w.dim for w in state.wires]
+    _check_dense(dims)  # the fidelity below densifies the result
     cores, weights, dropped = _trim_sweep(state.data.reshape(1, -1), dims, policy)
     m = MPS(cores)
     if policy is not None:
@@ -159,11 +160,15 @@ def amplitude(m: MPS, config: Sequence[int]) -> complex:
     return complex(prod[0, 0])
 
 
-def to_dense(m: MPS) -> Tensor:
-    """Full state vector as a Tensor; guarded against huge outputs."""
-    total = math.prod(m.phys_dims)
+def _check_dense(phys_dims: Sequence[int]) -> None:
+    total = math.prod(phys_dims)
     if total > DENSE_GUARD:
         raise SizeLimitError(f"dense state would have {total} amplitudes (> {DENSE_GUARD})")
+
+
+def to_dense(m: MPS) -> Tensor:
+    """Full state vector as a Tensor; guarded against huge outputs."""
+    _check_dense(m.phys_dims)
     acc = m.cores[0]  # (l0, phys..., r)
     for c in m.cores[1:]:
         acc = np.tensordot(acc, c, axes=([-1], [0]))

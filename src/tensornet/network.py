@@ -88,10 +88,10 @@ def _load(x: np.ndarray, ns: list, keep: set) -> tuple[np.ndarray, list]:
 
 
 class _Sizes:
-    """The size model shared by planning and ``plan_peak``: the index set
-    of every node left while merges are followed, and its size in elements.
-    A merge sums each index that no other remaining node holds and that is
-    not open; every other index of the pair stays, once."""
+    """The size model of planning: the index set of every node left while
+    merges are followed, and its size in elements.  A merge sums each index
+    that no other remaining node holds and that is not open; every other
+    index of the pair stays, once."""
 
     def __init__(self, fused: _Fused):
         self.indices = {nid: set(ix) for nid, ix in fused.indices.items()}
@@ -123,9 +123,6 @@ class _Sizes:
                         if n not in kept and holders[n] <= group:
                             summed *= dims[n]
         return self.sizes[wide] * grown // summed
-
-    def bonded(self, a: int, b: int) -> bool:
-        return a != b and a in self.indices and b in self.indices and not self.indices[a].isdisjoint(self.indices[b])
 
     def merge(self, a: int, b: int) -> int:
         """Merge a and b (the smaller id keeps the result); return its size."""
@@ -166,7 +163,7 @@ class TensorNetwork:
         self._version = 0
         self._deltas: dict[int, Tensor] = {}  # id -> tensor checked by add_spider
         self._fused: tuple[int, _Fused] | None = None  # (version, view)
-        self._planned: tuple | None = None  # (version, plan, its merges, its peak) of greedy_plan
+        self._planned: tuple | None = None  # (version, merges, peak) of greedy_plan
 
     def add(self, t: Tensor) -> int:
         nid = self._next_id
@@ -310,7 +307,12 @@ class TensorNetwork:
         so an elimination costs O(d (s + log H)) for s scanned indices and
         H heap entries; planning random 3-SAT with 300 variables and 600
         clauses takes about 0.2 s on 2 vCPUs.
+
+        The plan is made once per version of the network; every call
+        returns a fresh copy, so changing it changes nothing else.
         """
+        if self._planned is not None and self._planned[0] == self._version:
+            return ContractionPlan(list(self._planned[1]), self._planned[2])
         model = _Sizes(self._fuse())
         plan = ContractionPlan(peak_size=max(model.sizes.values(), default=1))
         current = {}  # index -> its bucket's (size, holders)
@@ -342,51 +344,30 @@ class TensorNetwork:
                 heapq.heappush(queue, (merged, a))
             for y in model.indices[queue[0][1]]:
                 push(y)
-        self._planned = (self._version, plan, list(plan.merges), plan.peak_size)
+        self._planned = (self._version, tuple(plan.merges), plan.peak_size)
         return plan
 
-    def plan_peak(self, merges: list[tuple[int, int]]) -> int:
-        """Largest tensor, in elements, among the loaded nodes and the
-        results of the given merges, in the size model of ``greedy_plan``.
-        Counting stops at the first merge of a missing or unbonded pair,
-        where contraction raises."""
-        model = _Sizes(self._fuse())
-        peak = max(model.sizes.values(), default=1)
-        for a, b in merges:
-            if not model.bonded(a, b):
-                break
-            peak = max(peak, model.merge(a, b))
-        return peak
-
-    def contract_all(self, plan: ContractionPlan | None = None) -> Tensor:
+    def contract_all(self) -> Tensor:
         """Contract every bond; open wires survive in declared order.
 
+        The network chooses its own order: the merges of ``greedy_plan``.
         Spiders are fused first (see ``_fuse``), so every other node is a
-        list of index names, and a node is loaded by ``_load``.  A merge of
-        the plan sums the names the two nodes share that no other remaining
-        node holds and that are not open; shared names still held elsewhere
-        are batch axes of one ``np.matmul``, and a merge without them is one
-        ``np.dot``.  Several open wires on one spider group give the
+        list of index names, and a node is loaded by ``_load``.  A merge
+        sums the names the two nodes share that no other remaining node
+        holds and that are not open; it is one ``np.matmul``, whose batch
+        axes (size 1 when there are none) are the shared names still held
+        elsewhere.  Several open wires on one spider group give the
         diagonal.  Disconnected pieces are combined by tensor product in
         node-id order; scalar pieces, and the dimension of each closed
-        group that no node holds, multiply as Python numbers.  The result
-        does not depend on the plan beyond floating point rounding.
+        group that no node holds, multiply as Python numbers.
 
-        Raises ``SizeLimitError`` before contracting anything when a merge
-        of the plan, or the result, needs more than ``MAX_ELEMENTS``
-        elements.  A plan that ``greedy_plan`` made at the current version
-        carries its own peak; any other plan is sized by ``plan_peak``.
+        Raises ``SizeLimitError`` before contracting anything when the
+        plan's peak, or the result, is more than ``MAX_ELEMENTS`` elements.
         """
         fused = self._fuse()
-        if plan is None:
-            plan = self.greedy_plan()
-        own = self._planned
-        if own is not None and own[0] == self._version and own[1] is plan and own[2] == plan.merges:
-            peak = own[3]
-        else:
-            peak = self.plan_peak(plan.merges)
+        plan = self.greedy_plan()
         open_dims = [fused.dims[n] for n in fused.open_names]
-        need = max(peak, math.prod(open_dims))
+        need = max(plan.peak_size, math.prod(open_dims))
         if need > MAX_ELEMENTS:
             raise SizeLimitError(
                 f"contraction needs a {need}-element tensor (2^{math.log2(need):.1f}), "
@@ -400,14 +381,9 @@ class TensorNetwork:
 
         dims, kept = fused.dims, fused.kept
         for a, b in plan.merges:
-            if a not in arrays or b not in arrays:
-                raise WireError(f"plan refers to missing node pair ({a}, {b})")
-            na, nb = names[a], names[b]
-            shared = set(na).intersection(nb) if a != b else ()
-            if not shared:
-                raise WireError(f"plan merges unbonded nodes ({a}, {b})")
+            na, nb = names.pop(a), names.pop(b)
             xa, xb = arrays.pop(a), arrays.pop(b)
-            del names[a], names[b]
+            shared = set(na).intersection(nb)
             batch, summed, free_a = [], [], []
             for n in na:
                 if n not in shared:
@@ -417,23 +393,12 @@ class TensorNetwork:
                 (batch if n in kept or held[n] > 1 else summed).append(n)
             free_b = [n for n in nb if n not in shared]
             k = math.prod(dims[n] for n in summed)
-            if batch:
-                # one matmul, the shared names still held elsewhere as batch axes
-                nbatch = math.prod(dims[n] for n in batch)
-                out = np.matmul(xa.transpose([na.index(n) for n in batch + free_a + summed]).reshape(nbatch, -1, k),
-                                xb.transpose([nb.index(n) for n in batch + summed + free_b]).reshape(nbatch, k, -1))
-            else:
-                # np.tensordot's layout and its np.dot, without its argument
-                # handling: a's free axes then the shared ones in a's order,
-                # times b's shared axes then its free ones
-                out = np.dot(xa.transpose([na.index(n) for n in free_a + summed]).reshape(-1, k),
-                             xb.transpose([nb.index(n) for n in summed + free_b]).reshape(k, -1))
+            nbatch = math.prod(dims[n] for n in batch)
+            out = np.matmul(xa.transpose([na.index(n) for n in batch + free_a + summed]).reshape(nbatch, -1, k),
+                            xb.transpose([nb.index(n) for n in batch + summed + free_b]).reshape(nbatch, k, -1))
             keep = min(a, b)
             names[keep] = batch + free_a + free_b
             arrays[keep] = out.reshape([dims[n] for n in names[keep]])
-
-        if any(held[n] > 1 for ns in names.values() for n in ns):
-            raise WireError("plan did not touch every bond")
 
         # multiply the scalar pieces; outer-product the others in id order
         nids = sorted(arrays)

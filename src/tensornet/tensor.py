@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -45,6 +46,12 @@ class WireSpec:
             raise WireError(f"wire {self.label!r}: dim must be >= 1, got {self.dim}")
 
 
+# id -> each array that a Tensor copied and froze.  Only these, and their
+# read-only views, are shared: a caller may make its own read-only array
+# writeable again, so that is copied.
+_OWNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class Tensor:
     """Immutable dense tensor over complex doubles.
 
@@ -52,7 +59,9 @@ class Tensor:
     ----------
     data : array_like
         Components, either flat (row-major over the wire order) or already
-        shaped to the wire dimensions.
+        shaped to the wire dimensions.  They are copied into a read-only
+        array, unless they already are a tensor's array or a read-only view
+        of one: wire-only changes share it.
     wires : sequence of WireSpec
         Ordered wires; labels must be unique.
     """
@@ -68,8 +77,12 @@ class Tensor:
         arr = np.asarray(data, dtype=complex)
         if arr.size != math.prod(dims):
             raise ShapeError(f"data has {arr.size} entries, wires require {math.prod(dims)}")
-        arr = arr.reshape(dims).copy()
-        arr.flags.writeable = False
+        arr = arr.reshape(dims)
+        owner = arr if arr.base is None else arr.base
+        if arr.flags.writeable or _OWNED.get(id(owner)) is not owner:
+            arr = arr.copy()
+            arr.flags.writeable = False
+            _OWNED[id(arr)] = arr
         object.__setattr__(self, "wires", wires)
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "_axes", axes)

@@ -213,3 +213,13 @@ def test_to_dense_guard():
     m = tn.MPS([np.zeros((1, 2, 1), dtype=complex) for _ in range(25)])
     with pytest.raises(tn.SizeLimitError):
         tn.to_dense(m)
+
+
+def test_oversized_dense_state_is_refused_before_the_sweep(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("swept a state that is refused")
+
+    monkeypatch.setattr(mpsmod, "svd_matrix", no_svd)
+    state = tn.ket(np.ones(2**21), dims=[2] * 21)
+    with pytest.raises(tn.SizeLimitError, match=r"dense state would have 2097152 amplitudes \(> 1048576\)"):
+        tn.mps_from_dense(state)

@@ -117,7 +117,7 @@ def test_greedy_plan_covers_all_bonds_and_is_deterministic():
     assert p1.merges == p2.merges
     assert len(p1.merges) == 3
     expect = np.trace(np.linalg.multi_dot([net.nodes[i].data for i in ids]))
-    assert net.contract_all(p1).item() == pytest.approx(expect)
+    assert net.contract_all().item() == pytest.approx(expect)
 
 
 def test_contract_refuses_plans_over_the_element_limit(monkeypatch):
@@ -135,23 +135,32 @@ def test_contract_refuses_plans_over_the_element_limit(monkeypatch):
     for end_a, end_b in [((x, "p"), (a, "p")), ((x, "q"), (b, "q")), ((a, "c"), (c, "c")), ((b, "d"), (d, "d"))]:
         net.connect(end_a, end_b)
     plan = net.greedy_plan()
-    assert net.plan_peak(plan.merges) == plan.peak_size == 2 * big
-    assert net.contract_all(plan).item() == 4 * big**2
+    assert reference_plan_peak(net, plan.merges) == plan.peak_size == 2 * big
+    assert net.contract_all().item() == 4 * big**2
 
-    bad = tn.network.ContractionPlan(merges=[(x, a), (x, b), (x, c), (x, d)])  # peak_size left at 0
-    assert net.plan_peak(bad.merges) == big**2
-    for merges in ([(c, d)], [(x, 99)]):  # unbonded, missing: sized up to there, then refused by contraction
-        assert net.plan_peak(merges) == 2 * big
-        with pytest.raises(tn.WireError):
-            net.contract_all(tn.network.ContractionPlan(merges=merges))
+    # a 30 x 30 grid of dimension-2 bonds: its own plan is far over the limit
+    side = 30
+    grid = tn.TensorNetwork()
+    ids = {}
+    for i in range(side):
+        for j in range(side):
+            wires = [tn.WireSpec(lab, 2, fl) for lab, fl, there in
+                     [("r", up, j + 1 < side), ("d", up, i + 1 < side), ("l", low, j > 0), ("u", low, i > 0)] if there]
+            ids[i, j] = grid.add(tn.Tensor(np.ones(2 ** len(wires)), wires))
+    for (i, j), nid in ids.items():
+        if j + 1 < side:
+            grid.connect((nid, "r"), (ids[i, j + 1], "l"))
+        if i + 1 < side:
+            grid.connect((nid, "d"), (ids[i + 1, j], "u"))
+    assert grid.greedy_plan().peak_size > tn.errors.MAX_ELEMENTS
 
-    def no_tensordot(*args, **kwargs):
+    def no_product(*args, **kwargs):
         raise AssertionError("contracted before the size check")
 
-    monkeypatch.setattr(np, "tensordot", no_tensordot)
-    monkeypatch.setattr(np, "dot", no_tensordot)
+    for name in ("matmul", "dot", "tensordot"):
+        monkeypatch.setattr(np, name, no_product)
     with pytest.raises(tn.SizeLimitError):
-        net.contract_all(bad)
+        grid.contract_all()
 
 
 def test_contract_refuses_an_oversized_product_of_pieces():
@@ -163,48 +172,43 @@ def test_contract_refuses_an_oversized_product_of_pieces():
         net.contract_all()
 
 
-def test_contract_all_sizes_every_plan_but_its_own_current_one(monkeypatch):
+def test_greedy_plan_is_made_once_per_version(monkeypatch):
+    built = []  # one entry per plan made: greedy_plan builds one _Sizes each time it plans
+    sizes = tn.network._Sizes
+    monkeypatch.setattr(tn.network, "_Sizes", lambda fused: built.append(1) or sizes(fused))
     net = tn.TensorNetwork()
     ids = [net.add(tn.matrix(rng.normal(size=(2, 2)))) for _ in range(3)]
     net.connect((ids[0], "in"), (ids[1], "out"))
-    calls = []
-    plan_peak = tn.TensorNetwork.plan_peak
-    monkeypatch.setattr(tn.TensorNetwork, "plan_peak", lambda self, merges: calls.append(1) or plan_peak(self, merges))
     plan = net.greedy_plan()
-    net.contract_all(plan)
-    assert calls == []  # made by greedy_plan at this version: its peak is trusted
-    net.contract_all(tn.network.ContractionPlan(merges=list(plan.merges)))
-    assert len(calls) == 1  # hand-built
+    assert (plan.merges, plan.peak_size, len(built)) == ([(0, 1)], 4, 1)
+    # the caller's copy: changing it changes neither the next plan nor the contraction
+    plan.merges[:] = [(1, 2), (0, 1)]
+    plan.peak_size = 0
+    again = net.greedy_plan()
+    assert (again.merges, again.peak_size, len(built)) == ([(0, 1)], 4, 1)
+    assert again is not plan
+    assert np.allclose(net.contract_all().data, einsum_reference(net), rtol=1e-12, atol=1e-12)
+    assert len(built) == 1
+
+    # every add, add_spider and connect gives a new plan that covers it
+    k = net.add(tn.ket([1, 2], labels=["x"]))
+    assert net.greedy_plan().merges == [(0, 1)] and len(built) == 2
     net.connect((ids[1], "in"), (ids[2], "out"))
-    with pytest.raises(tn.WireError, match="plan did not touch every bond"):
-        net.contract_all(plan)
-    assert len(calls) == 2  # made before a later connect
+    assert len(net.greedy_plan().merges) == 2 and len(built) == 3
+    s = net.add_spider(tn.copy_tensor(2, 1))
+    assert len(net.greedy_plan().merges) == 2 and len(built) == 4
+    net.connect((s, "o0"), (ids[2], "in"))
+    net.connect((k, "x"), (s, "i0"))
+    assert len(net.greedy_plan().merges) == 3 and len(built) == 5
+    assert np.allclose(net.contract_all().data, einsum_reference(net), rtol=1e-12, atol=1e-12)
+    assert len(built) == 5
 
-
-def test_a_plan_made_before_a_bond_is_sized_again(monkeypatch):
-    # c -- e and d -- f by wide bonds; the bond c -- d added after planning
-    # makes merging c and d first a 2^27-element tensor
-    up, low = tn.UPPER, tn.LOWER
-    net = tn.TensorNetwork()
-    c = net.add(tn.Tensor(np.ones((2, 2**14)), [tn.WireSpec("x", 2, up), tn.WireSpec("p", 2**14, up)]))
-    d = net.add(tn.Tensor(np.ones((2, 2**13)), [tn.WireSpec("x", 2, low), tn.WireSpec("q", 2**13, up)]))
-    e = net.add(tn.Tensor(np.ones(2**14), [tn.WireSpec("p", 2**14, low)]))
-    f = net.add(tn.Tensor(np.ones(2**13), [tn.WireSpec("q", 2**13, low)]))
-    net.connect((c, "p"), (e, "p"))
-    net.connect((d, "q"), (f, "q"))
-    plan = net.greedy_plan()
-    assert plan.merges == [(c, e), (d, f)] and plan.peak_size == 2**15
-    net.connect((c, "x"), (d, "x"))
-    plan.merges[:] = [(c, d), (c, e), (c, f)]
-    assert net.plan_peak(plan.merges) == 2**27
-
-    def no_dot(*args, **kwargs):
-        raise AssertionError("contracted before the size check")
-
-    monkeypatch.setattr(np, "tensordot", no_dot)
-    monkeypatch.setattr(np, "dot", no_dot)
-    with pytest.raises(tn.SizeLimitError):
-        net.contract_all(plan)
+    # a count plans once: contract_all runs the plan that counting made
+    built.clear()
+    gen = np.random.default_rng(5)
+    for n, m in [(6, 10), (8, 16), (10, 30)]:
+        tn.count_sat(random_3sat(n, m, gen))
+    assert len(built) == 3
 
 
 def test_add_spider_refuses_a_tensor_that_is_not_copy():
@@ -335,33 +339,16 @@ def test_kempe_known_values():
     assert tn.kempe(ghz) == pytest.approx(0.25, abs=1e-12)
 
 
-def test_self_merge_plan_is_refused():
-    net = tn.TensorNetwork()
-    a = net.add(tn.matrix(rng.normal(size=(2, 2))))
-    b = net.add(tn.ket([1, 2], labels=["x"]))
-    net.connect((a, "in"), (b, "x"))
-    with pytest.raises(tn.WireError, match=r"plan merges unbonded nodes \(0, 0\)"):
-        net.contract_all(tn.network.ContractionPlan(merges=[(a, a)]))
-
-
-def test_plan_that_skips_a_bond_is_refused():
-    net = tn.TensorNetwork()
-    ids = [net.add(tn.matrix(rng.normal(size=(2, 2)))) for _ in range(3)]
-    net.connect((ids[0], "in"), (ids[1], "out"))
-    net.connect((ids[1], "in"), (ids[2], "out"))
-    with pytest.raises(tn.WireError, match="plan did not touch every bond"):
-        net.contract_all(tn.network.ContractionPlan(merges=[(ids[0], ids[1])]))
-
-
 def random_plan(net, gen):
     """Merge randomly chosen bonded pairs until every bond is contracted;
-    a merged node keeps the smaller id, as in contraction."""
+    a merged node keeps the smaller id, as in contraction.  The peak is
+    sized by ``reference_plan_peak``."""
     rep = {nid: nid for nid in net.nodes}
     merges = []
     while True:
         pairs = sorted({(rep[a], rep[b]) for (a, _), (b, _) in net.bonds if rep[a] != rep[b]})
         if not pairs:
-            return tn.network.ContractionPlan(merges=merges)
+            return tn.network.ContractionPlan(merges, reference_plan_peak(net, merges))
         a, b = pairs[gen.integers(len(pairs))]
         merges.append((a, b) if gen.random() < 0.5 else (b, a))
         keep, drop = min(a, b), max(a, b)
@@ -411,7 +398,7 @@ def einsum_reference(net):
     return np.einsum(*operands, [index[end] for end in opened])
 
 
-def test_contract_all_matches_one_einsum_on_random_networks():
+def test_contract_all_matches_one_einsum_on_random_networks(monkeypatch):
     gen = np.random.default_rng(2024)
     for _ in range(20):
         net = random_feature_network(gen)
@@ -420,7 +407,10 @@ def test_contract_all_matches_one_einsum_on_random_networks():
         for nid, label in net.open_wires():
             labels.append(label if label not in labels else f"n{nid}:{label}")
         for plan in (None, random_plan(net, gen), random_plan(net, gen)):
-            out = net.contract_all(plan)
+            with monkeypatch.context() as m:
+                if plan is not None:  # contract in a random merge order
+                    m.setattr(tn.TensorNetwork, "greedy_plan", lambda self, plan=plan: plan)
+                out = net.contract_all()
             assert out.labels == tuple(labels)
             assert [w.dim for w in out.wires] == list(expect.shape)
             assert np.allclose(out.data, expect, rtol=1e-12, atol=1e-12)
@@ -465,8 +455,8 @@ def test_spider_networks_match_one_einsum():
         net = random_spider_network(gen)
         expect = einsum_reference(net)
         plan = net.greedy_plan()
-        assert net.plan_peak(plan.merges) == plan.peak_size
-        out = net.contract_all(plan)
+        assert reference_plan_peak(net, plan.merges) == plan.peak_size
+        out = net.contract_all()
         assert [w.dim for w in out.wires] == list(expect.shape)
         assert np.allclose(out.data, expect, rtol=1e-12, atol=1e-12)
 
@@ -636,6 +626,21 @@ def reference_fuse(self):
 
 
 
+def reference_plan_peak(self, merges):
+    """``TensorNetwork.plan_peak`` as it was before ``contract_all`` took
+    no plan, on ``reference_fuse`` and ``ReferenceSizes``: the largest
+    tensor, in elements, among the loaded nodes and the results of the
+    given merges, in the size model of ``greedy_plan``.  Counting stops at
+    the first merge of a missing or unbonded pair."""
+    model = ReferenceSizes(reference_fuse(self))
+    peak = max(model.sizes.values(), default=1)
+    for a, b in merges:
+        if not model.bonded(a, b):
+            break
+        peak = max(peak, model.merge(a, b))
+    return peak
+
+
 def reference_elimination_plan(self):
     """``greedy_plan`` as it was before its bookkeeping took fewer steps,
     on ``reference_fuse`` and ``ReferenceSizes``: index elimination, the
@@ -736,17 +741,23 @@ def random_multigraph_network(gen, dim):
 
 def invariant_networks(monkeypatch):
     """The networks that concurrence, three_tangle and kempe contract."""
+    return recorded_networks(monkeypatch, lambda: tn.concurrence(random_qubit_ket(2)),
+                             lambda: tn.three_tangle(random_qubit_ket(3)), lambda: tn.kempe(random_qubit_ket(3)))
+
+
+def recorded_networks(monkeypatch, *calls):
+    """The networks that the given calls contract."""
     nets = []
     contract_all = tn.TensorNetwork.contract_all
 
-    def record(net, plan=None):
+    def record(net):
         nets.append(net)
-        return contract_all(net, plan)
+        return contract_all(net)
 
-    monkeypatch.setattr(tn.TensorNetwork, "contract_all", record)
-    tn.concurrence(random_qubit_ket(2))
-    tn.three_tangle(random_qubit_ket(3))
-    tn.kempe(random_qubit_ket(3))
+    with monkeypatch.context() as m:
+        m.setattr(tn.TensorNetwork, "contract_all", record)
+        for call in calls:
+            call()
     return nets
 
 
@@ -781,4 +792,39 @@ def test_greedy_plan_is_fast_on_large_networks(formula):
     t0 = time.perf_counter()
     plan = net.greedy_plan()
     assert time.perf_counter() - t0 < 0.5
-    assert net.plan_peak(plan.merges) == plan.peak_size
+    assert reference_plan_peak(net, plan.merges) == plan.peak_size
+
+
+def test_no_merge_is_larger_than_the_plan_peak(monkeypatch):
+    # contract_all refuses a network by its plan's peak alone, so every
+    # array a merge makes must fit in it
+    gen = np.random.default_rng(97)
+    graphs = [tn.Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])]
+    for k in (3, 4, 5, 6):  # prisms; k = 4 is the cube
+        graphs.append(tn.Graph(2 * k, [(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % k) for i in range(k)]
+                               + [(i, k + i) for i in range(k)]))
+    graphs.append(tn.Graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                           + [(i, 5 + i) for i in range(5)]))
+    nets = random_formula_networks(gen) + [tn.counting.coloring_network(g) for g in graphs]
+    nets += invariant_networks(monkeypatch)
+    nets += recorded_networks(monkeypatch, *[lambda n=n: tn.aklt_chain(n) for n in range(2, 7)])
+    nets += [random_spider_network(gen) for _ in range(200)]
+    assert len(nets) == 48 + 6 + 3 + 5 + 200
+
+    realized = []
+    matmul = np.matmul
+
+    def recording(*args, **kwargs):
+        out = matmul(*args, **kwargs)
+        realized.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "matmul", recording)
+    merges = 0
+    for net in nets:
+        realized.clear()
+        net.contract_all()
+        assert len(realized) == len(net.greedy_plan().merges)
+        assert max(realized, default=0) <= net.greedy_plan().peak_size
+        merges += len(realized)
+    assert merges > 1000

@@ -1,5 +1,7 @@
 """Core tensor type: wiring rules, contraction, bends, reshapes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,38 @@ def test_tensor_is_immutable():
         t.wires = ()
     with pytest.raises(ValueError):
         t.data[()] = 2.0
+
+
+def test_arrays_from_outside_are_copied():
+    arr = np.arange(4.0)
+    t = tn.ket(arr)
+    arr[0] = 9
+    frozen = np.arange(4.0) + 0j
+    frozen.flags.writeable = False
+    u = tn.Tensor(frozen, [tn.WireSpec("a", 4, tn.UPPER)])
+    frozen.flags.writeable = True
+    frozen[1] = 9
+    assert t.data.tolist() == [[0, 1], [2, 3]] and u.data.tolist() == [0, 1, 2, 3]
+    assert not t.data.flags.writeable and not u.data.flags.writeable
+
+
+def test_wire_only_operations_share_the_array():
+    big = tn.ket(np.ones(2**22, dtype=complex))  # 64 MiB
+    pair = tn.ket(big.data.reshape(-1), dims=[2**11, 2**11])
+    ops = [lambda: big.relabeled({"w0": "a"}), lambda: tn.lower_wire(big, "w3"),
+           lambda: tn.raise_wire(tn.lower_wire(big, "w3"), "w3"), lambda: tn.bend(big, "w5", tn.LOWER),
+           lambda: tn.devectorize(pair), lambda: tn.vectorize(tn.devectorize(pair))]
+    for op in ops:
+        tracemalloc.start()
+        try:
+            out = op()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert np.shares_memory(out.data, big.data)
+        assert not out.data.flags.writeable
+    assert tn.allclose(tn.raise_wire(tn.lower_wire(big, "w3"), "w3"), big)
 
 
 def test_flat_data_is_reshaped_row_major():
