@@ -172,10 +172,71 @@ def test_contract_refuses_an_oversized_product_of_pieces():
         net.contract_all()
 
 
-def test_greedy_plan_is_made_once_per_version(monkeypatch):
-    built = []  # one entry per plan made: greedy_plan builds one _Sizes each time it plans
+def count_plans(monkeypatch):
+    """A list that gains one entry per plan made: greedy_plan builds one
+    _Sizes each time it plans."""
+    built = []
     sizes = tn.network._Sizes
     monkeypatch.setattr(tn.network, "_Sizes", lambda fused: built.append(1) or sizes(fused))
+    return built
+
+
+def test_contract_all_sizes_every_plan_but_its_own_current_one(monkeypatch):
+    # contract_all sizes no plan of its own: it runs the plan greedy_plan made
+    # at this version, and plans again, sized afresh, after a connect
+    built = count_plans(monkeypatch)
+    net = tn.TensorNetwork()
+    ids = [net.add(tn.matrix(rng.normal(size=(2, 2)))) for _ in range(3)]
+    net.connect((ids[0], "in"), (ids[1], "out"))
+    plan = net.greedy_plan()
+    assert (plan.merges, plan.peak_size, len(built)) == ([(0, 1)], 4, 1)
+    assert np.allclose(net.contract_all().data, einsum_reference(net), rtol=1e-12, atol=1e-12)
+    assert len(built) == 1  # made by greedy_plan at this version: trusted
+    net.connect((ids[1], "in"), (ids[2], "out"))
+    assert np.allclose(net.contract_all().data, einsum_reference(net), rtol=1e-12, atol=1e-12)
+    assert len(built) == 2  # made after the connect, and it touches every bond
+    again = net.greedy_plan()
+    assert len(again.merges) == 2 and again.peak_size == reference_plan_peak(net, again.merges)
+    assert len(built) == 2
+
+
+def test_a_plan_made_before_a_bond_is_sized_again(monkeypatch):
+    # c -- e and d -- f by wide bonds; the bond c -- d added after planning
+    # makes merging c and d first a 2^27-element tensor
+    up, low = tn.UPPER, tn.LOWER
+    net = tn.TensorNetwork()
+    c = net.add(tn.Tensor(np.ones((2, 2**14)), [tn.WireSpec("x", 2, up), tn.WireSpec("p", 2**14, up)]))
+    d = net.add(tn.Tensor(np.ones((2, 2**13)), [tn.WireSpec("x", 2, low), tn.WireSpec("q", 2**13, up)]))
+    e = net.add(tn.Tensor(np.ones(2**14), [tn.WireSpec("p", 2**14, low)]))
+    f = net.add(tn.Tensor(np.ones(2**13), [tn.WireSpec("q", 2**13, low)]))
+    net.connect((c, "p"), (e, "p"))
+    net.connect((d, "q"), (f, "q"))
+    plan = net.greedy_plan()
+    assert plan.merges == [(c, e), (d, f)] and plan.peak_size == 2**15
+    net.connect((c, "x"), (d, "x"))
+    # the stale plan, reordered by its caller, would need 2^27 elements
+    plan.merges[:] = [(c, d), (c, e), (c, f)]
+    assert reference_plan_peak(net, plan.merges) == 2**27
+    # the next contraction is planned and sized at the new version instead
+    new = net.greedy_plan()
+    assert new.merges != plan.merges and len(new.merges) == 3
+    assert new.peak_size == reference_plan_peak(net, new.merges) == 2**15
+
+    largest = []
+    matmul = np.matmul
+
+    def sized_matmul(*args, **kwargs):
+        out = matmul(*args, **kwargs)
+        largest.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "matmul", sized_matmul)
+    assert net.contract_all().item() == 2**28
+    assert largest and max(largest) <= new.peak_size
+
+
+def test_greedy_plan_is_made_once_per_version(monkeypatch):
+    built = count_plans(monkeypatch)
     net = tn.TensorNetwork()
     ids = [net.add(tn.matrix(rng.normal(size=(2, 2)))) for _ in range(3)]
     net.connect((ids[0], "in"), (ids[1], "out"))
