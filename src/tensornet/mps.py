@@ -4,7 +4,10 @@ bond entropies.
 
 Cores are order-3 arrays with axes (left bond, physical, right bond).
 Factorization and compression share one left-to-right SVD/trim sweep that
-absorbs the kept singular values into the right factor at every cut.
+absorbs the kept singular values into the right factor at every cut.  A
+wide cut (fewer rows r than columns) is first reduced to the r x r
+triangular factor of a QR of its transpose, whose SVD gives the same left
+singular vectors and values; its carry is then u^dagger times the block.
 Overlaps and norms are zipper contractions: a 2-index environment per
 boundary pair, grown site by site at O(D^2 chi^3 d) per site (D the ring
 bond, 1 for open chains), so no chi^4 array is ever built.
@@ -109,9 +112,15 @@ def _trim_sweep(block: np.ndarray, dims: Sequence[int], policy: TrimPolicy | Non
     """Left-to-right SVD sweep that trims every cut.
 
     ``block`` holds the first site and everything right of it with the
-    left bond as its first axis.  At each cut the kept ``s . v_dag`` carry
-    becomes the rest of the state; if ``tail`` (the cores right of the
-    first) is given, it is absorbed into the next core instead.
+    left bond as its first axis.  At each cut the matrix ``mat`` (left
+    bond and site as rows) is split as ``u s v_dag`` and the kept carry
+    ``s . v_dag`` becomes the rest of the state; if ``tail`` (the cores
+    right of the first) is given, it is absorbed into the next core
+    instead.  A wide ``mat`` (r rows < columns) is reduced first: the SVD
+    runs on the r x r factor ``R.T`` of an R-only QR ``mat.T = Q R``, and
+    the carry is the equal product ``u^dagger . mat``.  Tall and square
+    cuts take the SVD of ``mat`` itself, so ``svd_matrix`` runs once per
+    cut and never on a wide matrix.
     ``policy=None`` keeps every singular value above the numerical rank.
     Returns the cores, the discarded weight and the dropped count per cut.
     """
@@ -120,7 +129,14 @@ def _trim_sweep(block: np.ndarray, dims: Sequence[int], policy: TrimPolicy | Non
     dropped: list[int] = []
     for k in range(len(dims) - 1):
         rank = block.shape[0]
-        u, s, v_dag = svd_matrix(block.reshape(rank * dims[k], -1))
+        mat = block.reshape(rank * dims[k], -1)
+        wide = mat.shape[0] < mat.shape[1]
+        if wide:
+            # mat = r.T q.T with q.T's rows orthonormal, so the r x r r.T has
+            # mat's left singular vectors and values; q is never formed
+            u, s, _ = svd_matrix(np.linalg.qr(mat.T, mode="r").T)
+        else:
+            u, s, v_dag = svd_matrix(mat)
         if policy is None:
             # exact up to numerical rank: zero singular values carry nothing
             keep = max(int(np.sum(s > RANK_TOL * s[0])), 1) if s.size else 1
@@ -129,7 +145,10 @@ def _trim_sweep(block: np.ndarray, dims: Sequence[int], policy: TrimPolicy | Non
         weights.append(float(np.sum(s[keep:] ** 2)))
         dropped.append(s.size - keep)
         cores.append(u[:, :keep].reshape(rank, dims[k], keep))
-        carry = s[:keep, np.newaxis] * v_dag[:keep, :]
+        if wide:
+            carry = u[:, :keep].conj().T @ mat
+        else:
+            carry = s[:keep, np.newaxis] * v_dag[:keep, :]
         block = carry if tail is None else np.tensordot(carry, tail[k], axes=(1, 0))
     cores.append(block.reshape(-1, dims[-1], 1))
     return cores, weights, dropped
@@ -298,14 +317,14 @@ def schmidt_values(m: MPS, cut: int) -> np.ndarray:
     for k in range(cut):
         c = np.tensordot(carry, m.cores[k], axes=(1, 0))
         l, p, r = c.shape
-        q, carry = np.linalg.qr(c.reshape(l * p, r))
+        carry = np.linalg.qr(c.reshape(l * p, r), mode="r")
     r_left = carry
     # right LQ sweep down to the cut
     carry = np.eye(1, dtype=complex)
     for k in range(len(m) - 1, cut - 1, -1):
         c = np.tensordot(m.cores[k], carry, axes=(2, 0))
         l, p, r = c.shape
-        q, rr = np.linalg.qr(c.reshape(l, p * r).conj().T)
+        rr = np.linalg.qr(c.reshape(l, p * r).conj().T, mode="r")
         carry = rr.conj().T
     center = r_left @ carry
     s = np.linalg.svd(center, compute_uv=False)

@@ -46,9 +46,9 @@ class WireSpec:
             raise WireError(f"wire {self.label!r}: dim must be >= 1, got {self.dim}")
 
 
-# id -> each array that a Tensor copied and froze.  Only these, and their
-# read-only views, are shared: a caller may make its own read-only array
-# writeable again, so that is copied.
+# id -> each array that a Tensor copied and froze, or adopted fresh from an
+# operation (_adopt).  Only these, and their read-only views, are shared: a
+# caller may make its own read-only array writeable again, so that is copied.
 _OWNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
@@ -61,7 +61,8 @@ class Tensor:
         Components, either flat (row-major over the wire order) or already
         shaped to the wire dimensions.  They are copied into a read-only
         array, unless they already are a tensor's array or a read-only view
-        of one: wire-only changes share it.
+        of one: wire-only changes share it.  ``t * c``, :func:`conjugate`
+        and :func:`dagger` freeze their freshly computed array in place.
     wires : sequence of WireSpec
         Ordered wires; labels must be unique.
     """
@@ -127,7 +128,7 @@ class Tensor:
         return Tensor(self.data, wires)
 
     def __mul__(self, c):
-        return Tensor(self.data * complex(c), self.wires)
+        return _adopt(np.multiply(self.data, complex(c), order="C"), self.wires)
 
     __rmul__ = __mul__
 
@@ -136,6 +137,16 @@ class Tensor:
             f"{w.label}:{w.dim}{'^' if w.flavor is UPPER else '_'}" for w in self.wires
         )
         return f"Tensor({parts})"
+
+
+def _adopt(fresh: np.ndarray, wires: Sequence[WireSpec]) -> Tensor:
+    """Tensor that takes over ``fresh``, an array just computed for it that
+    nothing else holds: it is frozen in place instead of copied.  Callers
+    compute it with ``order="C"``, so it is C-contiguous as a copy is."""
+    fresh = np.asarray(fresh)  # a 0-d ufunc result is a numpy scalar
+    fresh.flags.writeable = False
+    _OWNED[id(fresh)] = fresh
+    return Tensor(fresh, wires)
 
 
 # -- constructors ------------------------------------------------------
@@ -316,7 +327,7 @@ def permute(a: Tensor, order: Sequence[str] | Sequence[int]) -> Tensor:
 
 def conjugate(a: Tensor) -> Tensor:
     """Entrywise complex conjugate; wires unchanged."""
-    return Tensor(np.conj(a.data), a.wires)
+    return _adopt(np.conj(a.data, order="C"), a.wires)
 
 
 def dagger(a: Tensor) -> Tensor:
@@ -324,7 +335,7 @@ def dagger(a: Tensor) -> Tensor:
     n = len(a.wires)
     rev = tuple(range(n - 1, -1, -1))
     wires = [WireSpec(w.label, w.dim, w.flavor.flipped()) for w in reversed(a.wires)]
-    return Tensor(np.conj(np.transpose(a.data, rev)), wires)
+    return _adopt(np.conj(np.transpose(a.data, rev), order="C"), wires)
 
 
 def vectorize(a: Tensor) -> Tensor:

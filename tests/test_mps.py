@@ -9,6 +9,7 @@ import pytest
 
 import tensornet as tn
 from tensornet import mps as mpsmod
+from tensornet.decomp import RANK_TOL, svd_matrix
 
 rng = np.random.default_rng(99)
 
@@ -223,3 +224,119 @@ def test_oversized_dense_state_is_refused_before_the_sweep(monkeypatch):
     state = tn.ket(np.ones(2**21), dims=[2] * 21)
     with pytest.raises(tn.SizeLimitError, match=r"dense state would have 2097152 amplitudes \(> 1048576\)"):
         tn.mps_from_dense(state)
+
+
+def reference_trim_sweep(block, dims, policy, tail=None):
+    """The sweep before wide cuts were QR-reduced: every cut is one SVD of
+    the whole block and the carry is s . v_dag."""
+    cores = []
+    weights = []
+    dropped = []
+    for k in range(len(dims) - 1):
+        rank = block.shape[0]
+        u, s, v_dag = svd_matrix(block.reshape(rank * dims[k], -1))
+        if policy is None:
+            # exact up to numerical rank: zero singular values carry nothing
+            keep = max(int(np.sum(s > RANK_TOL * s[0])), 1) if s.size else 1
+        else:
+            keep = policy.keep_count(s)
+        weights.append(float(np.sum(s[keep:] ** 2)))
+        dropped.append(s.size - keep)
+        cores.append(u[:, :keep].reshape(rank, dims[k], keep))
+        carry = s[:keep, np.newaxis] * v_dag[:keep, :]
+        block = carry if tail is None else np.tensordot(carry, tail[k], axes=(1, 0))
+    cores.append(block.reshape(-1, dims[-1], 1))
+    return cores, weights, dropped
+
+
+def product_state(n):
+    v = np.ones(1, dtype=complex)
+    for _ in range(n):
+        v = np.kron(v, rng.normal(size=2) + 1j * rng.normal(size=2))
+    return tn.ket(v / np.linalg.norm(v), dims=[2] * n)
+
+
+def assert_same_reports(run, monkeypatch):
+    """``run()`` -> (MPS, report) against the same call on the reference sweep."""
+    m, rep = run()
+    with monkeypatch.context() as patched:
+        patched.setattr(mpsmod, "_trim_sweep", reference_trim_sweep)
+        ref_m, ref = run()
+    assert rep.bond_dims == ref.bond_dims and rep.dropped_counts == ref.dropped_counts
+    assert np.allclose(rep.discarded_weights, ref.discarded_weights, rtol=0, atol=1e-12)
+    assert rep.fidelity == pytest.approx(ref.fidelity, rel=0, abs=1e-12)
+    assert rep.fidelity_bound == pytest.approx(ref.fidelity_bound, rel=0, abs=1e-12)
+    assert np.allclose(tn.to_dense(m).data, tn.to_dense(ref_m).data, rtol=0, atol=1e-12)
+
+
+def test_qr_reduced_sweep_matches_the_reference_sweep(monkeypatch):
+    policies = [tn.TrimPolicy.max_rank(3), tn.TrimPolicy.max_rank(16), tn.TrimPolicy.cutoff(0.02),
+                tn.TrimPolicy.cutoff(0.05, relative=True)]
+    for n in (6, 9, 11, 14):
+        state = random_state(n)
+        for policy in policies:
+            assert_same_reports(lambda: tn.mps_from_dense(state, policy), monkeypatch)
+        cores = random_cores([1] + [min(2**k, 2 ** (n - k), 32) for k in range(1, n)] + [1])
+        exact = tn.MPS(cores)
+        exact.cores[-1] = exact.cores[-1] / mpsmod.norm(exact)
+        for policy in policies:
+            assert_same_reports(lambda: tn.compress(exact, policy), monkeypatch)
+    # exact factorization of rank-deficient states: zero singular values must
+    # be dropped at the same cuts
+    for n in (6, 10, 13):
+        for state in (tn.to_dense(tn.ghz_mps(n)), tn.to_dense(tn.w_mps(n)), product_state(n)):
+            assert_same_reports(lambda: tn.mps_from_dense(state), monkeypatch)
+        assert_same_reports(lambda: tn.compress(tn.ghz_mps(n), tn.TrimPolicy.max_rank(2)), monkeypatch)
+
+
+def test_square_and_tall_cuts_are_unchanged_bit_for_bit(monkeypatch):
+    chain = tn.MPS(random_cores([1, 2, 4, 8, 4, 2, 1]))  # cuts of 2x2, 4x4, 8x8, then tall
+    for policy in (tn.TrimPolicy.max_rank(8), tn.TrimPolicy.max_rank(4), tn.TrimPolicy.cutoff(0.3)):
+        m, rep = tn.compress(chain, policy)
+        with monkeypatch.context() as patched:
+            patched.setattr(mpsmod, "_trim_sweep", reference_trim_sweep)
+            ref_m, ref = tn.compress(chain, policy)
+        assert rep == ref
+        assert all(np.array_equal(a, b) for a, b in zip(m.cores, ref_m.cores))
+
+
+def test_every_cut_is_one_svd_of_a_tall_or_square_matrix(monkeypatch):
+    shapes = []
+
+    def recorded(m):
+        shapes.append(m.shape)
+        return svd_matrix(m)
+
+    monkeypatch.setattr(mpsmod, "svd_matrix", recorded)
+    for n, chi in ((12, 8), (13, 32)):
+        shapes.clear()
+        m, _ = tn.mps_from_dense(random_state(n), tn.TrimPolicy.max_rank(chi))
+        assert len(shapes) == n - 1 and all(rows >= cols for rows, cols in shapes)
+        assert shapes[0] == (2, 2)  # the first cut, 2 x 2^(n-1), is reduced
+        shapes.clear()
+        tn.compress(m, tn.TrimPolicy.max_rank(chi // 4))
+        assert len(shapes) == n - 1 and all(rows >= cols for rows, cols in shapes)
+
+
+def reference_schmidt_values(m, cut):
+    """schmidt_values with both QR sweeps forming Q."""
+    carry = np.eye(1, dtype=complex)
+    for k in range(cut):
+        c = np.tensordot(carry, m.cores[k], axes=(1, 0))
+        l, p, r = c.shape
+        q, carry = np.linalg.qr(c.reshape(l * p, r))
+    r_left = carry
+    carry = np.eye(1, dtype=complex)
+    for k in range(len(m) - 1, cut - 1, -1):
+        c = np.tensordot(m.cores[k], carry, axes=(2, 0))
+        l, p, r = c.shape
+        q, rr = np.linalg.qr(c.reshape(l, p * r).conj().T)
+        carry = rr.conj().T
+    return np.linalg.svd(r_left @ carry, compute_uv=False)
+
+
+def test_schmidt_values_equal_the_q_forming_sweeps_bitwise():
+    n = 10
+    m = tn.MPS(random_cores([1] + [min(2**k, 2 ** (n - k), 16) for k in range(1, n)] + [1]))
+    for cut in range(1, n):
+        assert np.array_equal(tn.schmidt_values(m, cut), reference_schmidt_values(m, cut))

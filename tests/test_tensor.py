@@ -100,6 +100,26 @@ def test_wire_only_operations_share_the_array():
     assert tn.allclose(tn.raise_wire(tn.lower_wire(big, "w3"), "w3"), big)
 
 
+def test_value_operations_hold_one_array():
+    big = tn.ket(np.arange(2**22) * (1 + 2j))  # 64 MiB
+    small = tn.permute(random_tensor([2, 3, 4], [tn.UPPER, tn.LOWER, tn.UPPER]), [2, 0, 1])  # a strided view
+    ops = [(lambda t: t * 0.5, lambda a: a * 0.5), (lambda t: 2 * t, lambda a: a * 2),
+           (tn.conjugate, np.conj), (tn.dagger, lambda a: np.conj(np.transpose(a)))]
+    for op, expect in ops:
+        tracemalloc.start()
+        try:
+            out = op(big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 70 * 2**20
+        assert not np.shares_memory(out.data, big.data) and not out.data.flags.writeable
+        out = op(small)
+        assert np.array_equal(out.data, expect(small.data)) and out.data.flags.c_contiguous
+        assert not out.data.flags.writeable
+    assert (tn.scalar(3) * 2).item() == 6 and tn.conjugate(tn.scalar(1j)).item() == -1j
+
+
 def test_flat_data_is_reshaped_row_major():
     t = tn.Tensor([1, 2, 3, 4], [tn.WireSpec("a", 2, tn.UPPER), tn.WireSpec("b", 2, tn.UPPER)])
     assert t.data[0, 1] == 2
