@@ -27,7 +27,7 @@ import numpy as np
 
 from . import catalog
 from .errors import NonIntegralError, ParseError, ShapeError, SizeLimitError
-from .network import TensorNetwork
+from .network import TensorNetwork, from_terms
 from .tensor import LOWER, UPPER, Tensor, WireSpec, dagger, raise_wire
 
 INTEGER_TOL = 1e-6
@@ -438,24 +438,17 @@ def coloring_network(g: Graph, node_orders: list[list[int]] | None = None) -> Te
     if any(d != 3 for d in deg):
         raise ShapeError(f"graph is not 3-regular: degrees {deg}")
     orders = node_orders if node_orders is not None else _incidence_orders(g)
-    net = TensorNetwork()
-    slot: dict[tuple[int, int], tuple[int, str]] = {}
+    eps = catalog.epsilon(3)
+    terms = []
     for v in range(g.num_nodes):
-        eps = catalog.epsilon(3)
-        raised = []
-        for pos, eidx in enumerate(orders[v]):
-            u, w = g.edges[eidx]
-            if v == max(u, w):  # one end of each edge carries the raised wire
-                raised.append(f"i{pos}")
         t = eps
-        for lab in raised:
-            t = raise_wire(t, lab)
-        nid = net.add(t)
         for pos, eidx in enumerate(orders[v]):
-            slot[(eidx, v)] = (nid, f"i{pos}")
-    for eidx, (u, v) in enumerate(g.edges):
-        net.connect(slot[(eidx, u)], slot[(eidx, v)])
-    return net
+            if v not in g.edges[eidx]:
+                raise ShapeError(f"node_orders lists edge {eidx} {g.edges[eidx]} at node {v}")
+            if v == max(g.edges[eidx]):  # one end of each edge carries the raised wire
+                t = raise_wire(t, f"i{pos}")
+        terms.append((t, orders[v]))
+    return from_terms(terms)
 
 
 def count_3_edge_colorings(g: Graph, node_orders: list[list[int]] | None = None) -> CountResult:

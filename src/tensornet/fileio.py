@@ -1,7 +1,8 @@
 """Plain-text amplitude files shared by the CLI and the MPS tools.
 
 Format: first line ``dims d1 d2 ... dn``; each following non-empty line
-holds one ``re im`` pair, in row-major order over the wires.
+holds one ``re im`` pair, in row-major order over the wires.  Every
+amplitude, and the norm of the state, must be finite.
 """
 
 from __future__ import annotations
@@ -47,8 +48,15 @@ def parse_amplitudes(text: str) -> Tensor:
             raise ParseError(no, f"more than {want} amplitudes for dims {dims}")
     if len(values) != want:
         raise ParseError(len(lines), f"got {len(values)} amplitudes, dims {dims} require {want}")
+    amps = np.array(values)
+    if not np.isfinite(amps).all():  # name its line: the non-empty lines are the header, then the amplitudes
+        no = [k for k, line in enumerate(lines, start=1) if line.strip()][1 + np.isfinite(amps).argmin()]
+        raise ParseError(no, f"non-finite amplitude {lines[no - 1].strip()!r}")
+    with np.errstate(over="ignore"):
+        if not math.isfinite(np.linalg.norm(amps)):
+            raise ParseError(len(lines), "amplitudes too large: their norm overflows")
     wires = [WireSpec(f"s{k}", d, UPPER) for k, d in enumerate(dims)]
-    return Tensor(np.array(values), wires)
+    return Tensor(amps, wires)
 
 
 def read_amplitudes(path) -> Tensor:

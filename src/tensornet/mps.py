@@ -21,9 +21,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .decomp import RANK_TOL, TrimPolicy, renyi_entropy, svd_matrix
+from . import catalog
+from .decomp import TrimPolicy, renyi_entropy, schmidt_rank, svd_matrix
 from .errors import ShapeError, SizeLimitError
-from .tensor import UPPER, Tensor, WireSpec
+from .network import from_terms
+from .tensor import UPPER, Tensor, WireSpec, raise_wire
 
 OPEN = "open"
 PERIODIC = "periodic"
@@ -139,7 +141,7 @@ def _trim_sweep(block: np.ndarray, dims: Sequence[int], policy: TrimPolicy | Non
             u, s, v_dag = svd_matrix(mat)
         if policy is None:
             # exact up to numerical rank: zero singular values carry nothing
-            keep = max(int(np.sum(s > RANK_TOL * s[0])), 1) if s.size else 1
+            keep = max(schmidt_rank(s), 1)
         else:
             keep = policy.keep_count(s)
         weights.append(float(np.sum(s[keep:] ** 2)))
@@ -277,30 +279,19 @@ def aklt_chain(n: int) -> Tensor:
     ``n`` singlets (epsilon / sqrt 2) are laid side by side and each of the
     n - 1 interior qubit pairs is projected onto the spin-1 subspace,
     leaving two dangling boundary qubit wires around n - 1 spin-1 wires.
-    Wire order: left qubit, spin sites left to right, right qubit.
+    The terms alternate singlet, projector, singlet, ..., so the open wires
+    come out in chain order: left qubit qL, spin sites s0 ... s(n-2), right
+    qubit qR.
     """
-    from . import catalog
-    from .network import TensorNetwork
-    from .tensor import raise_wire
-
     if n < 2:
         raise ShapeError("aklt_chain needs n >= 2 singlets")
     singlet = raise_wire(raise_wire(catalog.epsilon(2), "i0"), "i1") * (1.0 / math.sqrt(2.0))
-    net = TensorNetwork()
-    singlets = [net.add(singlet) for _ in range(n)]
-    projectors = [net.add(catalog.aklt_projector()) for _ in range(n - 1)]
-    for k, p in enumerate(projectors):
-        net.connect((p, "i0"), (singlets[k], "i1"))      # right qubit of singlet k
-        net.connect((p, "i1"), (singlets[k + 1], "i0"))  # left qubit of singlet k+1
-    state = net.contract_all()
-    # open wires arrive node-ordered: boundary qubits first, then spins
-    order = [state.labels[0]] + list(state.labels[2:]) + [state.labels[1]]
-    perm = [state.axis(l) for l in order]
-    data = np.transpose(state.data, perm)
-    wires = [WireSpec("qL", 2, UPPER)]
-    wires += [WireSpec(f"s{k}", 3, UPPER) for k in range(n - 1)]
-    wires += [WireSpec("qR", 2, UPPER)]
-    return Tensor(data, wires)
+    projector = catalog.aklt_projector()
+    qubits = ["qL", *range(2 * n - 2), "qR"]  # singlet k holds qubits 2k and 2k + 1
+    terms = [(singlet, qubits[:2])]
+    for k in range(n - 1):  # projector k joins the right qubit of singlet k to the left one of singlet k + 1
+        terms += [(projector, [f"s{k}", 2 * k, 2 * k + 1]), (singlet, qubits[2 * k + 2:2 * k + 4])]
+    return from_terms(terms).contract_all()
 
 
 # -- entropies and compression -----------------------------------------

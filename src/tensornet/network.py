@@ -7,10 +7,16 @@ identity a connected group of spiders is one index shared by every wire
 bonded to it, so planning and contraction see only the other nodes, each as
 a list of index names, and a count over clause tensors joined by COPY
 tensors contracts its clause tensors only.
+
+A network built by hand is written as its index formula: ``from_terms``
+takes (tensor, keys) terms, one node each, and bonds the two wires that
+carry one key, as in einsum subscripts.  The invariants here, the AKLT
+chain and the Penrose colouring network are built this way.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import heapq
 import math
@@ -22,7 +28,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import catalog
 from .errors import MAX_ELEMENTS, ShapeError, SizeLimitError, WireError
-from .tensor import LOWER, UPPER, Tensor, WireSpec, conjugate, dagger, raise_wire
+from .tensor import UPPER, Tensor, WireSpec, conjugate, dagger, ket, raise_wire
 
 End = tuple[int, str]  # (node id, wire label)
 
@@ -433,6 +439,32 @@ class TensorNetwork:
         return Tensor(data, wires)
 
 
+# -- networks written as index formulas -------------------------------
+
+
+def from_terms(terms) -> TensorNetwork:
+    """The network of an index formula, read as einsum subscripts.
+
+    Each term ``(tensor, keys)`` becomes one node, in order; ``keys`` names
+    the index on each of its wires, in wire order.  The two wires that
+    carry one key are bonded (a key twice on one node is a traced
+    self-loop); a wire whose key appears nowhere else stays open and is
+    relabeled to its key.
+    """
+    terms = list(terms)
+    count = collections.Counter(k for _, keys in terms for k in keys)
+    net, ends = TensorNetwork(), {}
+    for t, keys in terms:
+        pairs = list(zip(t.labels, keys, strict=True))
+        opened = {lab: key for lab, key in pairs if count[key] == 1}
+        nid = net.add(t.relabeled(opened) if opened else t)
+        for lab, key in pairs:  # the first wire with a key waits for the second
+            first = ends.setdefault(key, (nid, lab))
+            if first != (nid, lab):
+                net.connect(first, (nid, lab))
+    return net
+
+
 # -- invariants built as networks --------------------------------------
 
 
@@ -442,44 +474,26 @@ def _require_qubit_ket(psi: Tensor, n: int, what: str) -> None:
 
 
 def determinant_via_epsilon(s: Tensor) -> complex:
-    """det(S) = eps_ij S^i_0 S^j_1 for a 2x2 order-(1,1) tensor."""
+    """det(S) = eps_ij S^i_a S^j_b e0^a e1^b for a 2x2 order-(1,1) tensor."""
     if s.order != (1, 1) or any(w.dim != 2 for w in s.wires):
         raise ShapeError(f"determinant_via_epsilon needs a 2x2 order-(1,1) tensor, got {s!r}")
-    up = next(w.label for w in s.wires if w.flavor is UPPER)
-    low = next(w.label for w in s.wires if w.flavor is LOWER)
-    net = TensorNetwork()
-    eps = net.add(catalog.epsilon(2))
-    s1 = net.add(s)
-    s2 = net.add(s)
-    k0 = net.add(Tensor([1, 0], [WireSpec("b", 2, UPPER)]))
-    k1 = net.add(Tensor([0, 1], [WireSpec("b", 2, UPPER)]))
-    net.connect((eps, "i0"), (s1, up))
-    net.connect((eps, "i1"), (s2, up))
-    net.connect((s1, low), (k0, "b"))
-    net.connect((s2, low), (k1, "b"))
+    ia, jb = ("ia", "jb") if s.wires[0].flavor is UPPER else ("ai", "bj")
+    net = from_terms([(catalog.epsilon(2), "ij"), (s, ia), (s, jb), (ket([1, 0]), "a"), (ket([0, 1]), "b")])
     return net.contract_all().item()
 
 
 def concurrence(psi: Tensor) -> float:
-    """|eps eps psi psi-bar-bra| = 2|det(psi)| for a two-qubit ket."""
+    """|eps_a^c eps_b^d psi^ab psibar_cd| = 2|det(psi)| for a two-qubit ket."""
     _require_qubit_ket(psi, 2, "concurrence")
-    la, lb = psi.labels
     # the bra of the conjugate state has the unconjugated components
     bar = dagger(conjugate(psi))
-    net = TensorNetwork()
-    p1 = net.add(psi)
-    p2 = net.add(bar)
-    e1 = net.add(raise_wire(catalog.epsilon(2), "i1"))
-    e2 = net.add(raise_wire(catalog.epsilon(2), "i1"))
-    net.connect((e1, "i0"), (p1, la))
-    net.connect((e1, "i1"), (p2, la))
-    net.connect((e2, "i0"), (p1, lb))
-    net.connect((e2, "i1"), (p2, lb))
-    return abs(net.contract_all().item())
+    eps = raise_wire(catalog.epsilon(2), "i1")
+    return abs(from_terms([(psi, "ab"), (bar, "cd"[::-1]), (eps, "ac"), (eps, "bd")]).contract_all().item())
 
 
 def three_tangle(psi: Tensor) -> float:
-    """3-tangle tau = 2|tau'| from the six-epsilon, four-psi network.
+    """3-tangle tau = 2|tau'| from the six-epsilon, four-psi network
+    tau' = psi^ace psi^bdf psi^gik psi^hjl eps_ab eps_cd eps_gh eps_ij eps_ek eps_fl.
 
     tau' contracts four copies of the state pairwise through epsilon
     tensors on every index; it equals twice the 2x2 determinant of the
@@ -487,46 +501,19 @@ def three_tangle(psi: Tensor) -> float:
     hyperdeterminant.
     """
     _require_qubit_ket(psi, 3, "three_tangle")
-    l0, l1, l2 = psi.labels
-    net = TensorNetwork()
-    ps = [net.add(psi) for _ in range(4)]
-    pairs = [  # (psi a, psi b, wire label): one epsilon per line
-        (0, 1, l0),
-        (0, 1, l1),
-        (2, 3, l0),
-        (2, 3, l1),
-        (0, 2, l2),
-        (1, 3, l2),
-    ]
-    for a, b, lab in pairs:
-        e = net.add(catalog.epsilon(2))
-        net.connect((e, "i0"), (ps[a], lab))
-        net.connect((e, "i1"), (ps[b], lab))
-    return 2.0 * abs(net.contract_all().item())
+    eps = catalog.epsilon(2)
+    terms = [(psi, "ace"), (psi, "bdf"), (psi, "gik"), (psi, "hjl")]
+    terms += [(eps, keys) for keys in ("ab", "cd", "gh", "ij", "ek", "fl")]
+    return 2.0 * abs(from_terms(terms).contract_all().item())
 
 
 def kempe(psi: Tensor) -> complex:
-    """Kempe invariant K = psi^ijk psibar_ilm psi^nlo psibar_pjo psi^pqm psibar_nqk."""
+    """Kempe invariant K = psi^ijk psibar_ilm psi^nlo psibar_pjo psi^pqm psibar_nqk.
+
+    ``dagger`` reverses the wire order, so each bra's keys are written
+    reversed.
+    """
     _require_qubit_ket(psi, 3, "kempe")
     bar = dagger(psi)
-    net = TensorNetwork()
-    k1 = net.add(psi)   # ijk
-    b2 = net.add(bar)   # ilm
-    k3 = net.add(psi)   # nlo
-    b4 = net.add(bar)   # pjo
-    k5 = net.add(psi)   # pqm
-    b6 = net.add(bar)   # nqk
-    l0, l1, l2 = psi.labels
-    for (na, wa), (nb, wb) in [
-        ((k1, l0), (b2, l0)),  # i
-        ((k1, l1), (b4, l1)),  # j
-        ((k1, l2), (b6, l2)),  # k
-        ((k3, l1), (b2, l1)),  # l
-        ((k5, l2), (b2, l2)),  # m
-        ((k3, l0), (b6, l0)),  # n
-        ((k3, l2), (b4, l2)),  # o
-        ((k5, l0), (b4, l0)),  # p
-        ((k5, l1), (b6, l1)),  # q
-    ]:
-        net.connect((na, wa), (nb, wb))
-    return net.contract_all().item()
+    terms = [(psi, "ijk"), (bar, "ilm"[::-1]), (psi, "nlo"), (bar, "pjo"[::-1]), (psi, "pqm"), (bar, "nqk"[::-1])]
+    return from_terms(terms).contract_all().item()

@@ -104,6 +104,13 @@ def test_epsilon_antisymmetry():
         tn.epsilon(1)
 
 
+def test_copy_and_xor_need_a_wire():
+    with pytest.raises(tn.ShapeError, match="copy_tensor"):
+        tn.copy_tensor(0, 0)
+    with pytest.raises(tn.ShapeError, match="xor_tensor"):
+        tn.xor_tensor(0, 0)
+
+
 def test_antisymmetrizer_is_projector():
     for n, d in [(2, 2), (2, 3), (3, 3)]:
         a = tn.antisymmetrizer(n, d)

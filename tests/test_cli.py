@@ -61,11 +61,26 @@ def test_amplitude_round_trip():
         "dims 2\n1 0\n0 0\n1 0\n",  # too many
         "dims 2\n1\n0 0\n",  # not a pair
         "dims 2\nez 0\n0 0\n",  # non-numeric
+        "dims 2\nnan 0\n0 0\n",  # not a number
+        "dims 2\n1 0\n0 -inf\n",  # infinite
+        "dims 2\n\n1e400 0\n0 0\n",  # past the float range
+        "dims 2 2 2\n1e308 0\n0 0\n0 0\n0 0\n0 0\n0 0\n0 0\n1e308 0\n",  # each finite, the norm not
     ],
 )
 def test_amplitude_parse_errors(text):
     with pytest.raises(tn.ParseError):
         parse_amplitudes(text)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("dims 2\nnan 0\n0 0\n", 2),
+    ("dims 2\n\n1 0\n\n0 inf\n", 5),
+    ("dims 2\n1e200 0\n1e200 0\n", 3),
+])
+def test_non_finite_amplitudes_are_refused_at_their_line(text, line):
+    with pytest.raises(tn.ParseError) as err:
+        parse_amplitudes(text)
+    assert err.value.line == line
 
 
 # -- count-sat ----------------------------------------------------------
@@ -293,6 +308,23 @@ def test_invariant_tangle_ghz(tmp_path, capsys):
     assert main(["invariant", f, "--which", "tangle", "--json"]) == 0
     machine = json.loads(capsys.readouterr().out)
     assert machine["tangle"] == pytest.approx(1.0)
+
+
+def test_overflowing_ghz_is_refused_exit_2(tmp_path, capsys):
+    # each amplitude is finite, but the norm overflows: the invariants came
+    # out 0.0 (true values 0.25 and 1.0) and the fidelity NaN, with exit 0
+    f = write(tmp_path, "ghz.txt", "dims 2 2 2\n1e308 0\n" + "0 0\n" * 6 + "1e308 0\n")
+    for argv in (["invariant", f, "--which", "kempe"], ["invariant", f, "--which", "tangle"], ["mps", f]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{f}:9: amplitudes too large" in captured.err
+
+
+def test_invariant_zero_state_exit_2(tmp_path, capsys):
+    f = state_file(tmp_path, "zero.txt", [0, 0, 0, 0], [2, 2])
+    assert main(["invariant", f, "--which", "concurrence"]) == 2
+    assert "zero state" in capsys.readouterr().err
 
 
 def test_invariant_wrong_shape_exit_2(tmp_path, capsys):

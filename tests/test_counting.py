@@ -57,6 +57,11 @@ def test_parse_dimacs_multiline_clause():
         ("p cnf 2 1\nfoo 0\n", 2),  # non-integer literal
         ("p cnf 2 2\n1 0\n", 2),  # clause count mismatch
         ("p cnf 2 1\n1 2\n", 2),  # missing terminator
+        ("p cnf 2 1\np cnf 2 1\n1 0\n", 2),  # duplicate header
+        ("p cnf 2\n1 0\n", 1),  # header without a clause count
+        ("p cnf 2 -1\n", 1),  # negative count
+        ("p cnf 2 1\n0\n", 2),  # a lone terminator: an empty clause
+        ("c a comment\nc and another\n", 2),  # comments only: no header
     ],
 )
 def test_parse_dimacs_errors_carry_line_numbers(text, line):
@@ -363,6 +368,8 @@ def test_parse_graph_basic():
         "nodes 2\n0 5\n",  # endpoint out of range
         "nodes 2\n0 0\n",  # self-loop
         "nodes 2\n0 1 2\n",  # malformed edge line
+        "nodes 2\n0 x\n",  # non-integer endpoint
+        "# a comment only\n",  # no header
     ],
 )
 def test_parse_graph_errors(text):
@@ -380,9 +387,35 @@ def test_negative_sizes_are_refused():
         tn.Graph(-2, [])
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: tn.CnfFormula(2, [(1,), ()]), "empty clause"),
+    (lambda: tn.CnfFormula(2, [(1, 3)]), "literal 3 out of range"),
+    (lambda: tn.CnfFormula(2, [(0,)]), "literal 0 out of range"),
+    (lambda: tn.Graph(2, [(0, 2)]), r"edge \(0, 2\) out of range"),
+    (lambda: tn.Graph(2, [(1, 1)]), "self-loop at node 1"),
+])
+def test_formulas_and_graphs_built_directly_are_checked(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_a_value_that_is_not_an_integer_is_no_count():
+    net = tn.TensorNetwork()
+    net.add(tn.scalar(2.5))
+    with pytest.raises(tn.NonIntegralError, match="not close to an integer"):
+        tn.counting._count(net, "half")
+
+
 def test_coloring_requires_3_regular():
     with pytest.raises(tn.ShapeError):
         tn.count_3_edge_colorings(tn.Graph(2, [(0, 1)]))
+    # node_orders must list each node's own edges, each once
+    with pytest.raises(tn.ShapeError, match=r"lists edge 5 \(2, 3\) at node 1"):
+        tn.count_3_edge_colorings(K4, [[0, 1, 2], [0, 3, 5], [1, 3, 4], [2, 4, 5]])
+    with pytest.raises(tn.WireError):
+        tn.count_3_edge_colorings(K4, [[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4, 4]])
+    with pytest.raises(ValueError):
+        tn.count_3_edge_colorings(K4, [[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4]])
 
 
 def test_theta_graph_count():

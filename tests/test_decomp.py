@@ -156,6 +156,8 @@ def test_reduced_density_matches_dense_partial_trace():
 def test_reduced_density_requires_normalized_ket():
     with pytest.raises(tn.ShapeError):
         tn.reduced_density(tn.ket([2, 0, 0, 0], dims=[2, 2]), ["w0"])
+    with pytest.raises(tn.ShapeError, match="expects a ket"):
+        tn.reduced_density(tn.bra([1, 0, 0, 0], dims=[2, 2]), ["w0"])
 
 
 def test_entropies_uniform_distribution():

@@ -29,6 +29,14 @@ def test_mps_validation():
         tn.MPS([np.zeros((2, 2, 1))])  # open boundary needs bond 1
     with pytest.raises(ValueError):
         tn.MPS([np.zeros((1, 2, 1))], boundary="twisted")
+    with pytest.raises(tn.ShapeError, match="core 1 has 2 axes"):
+        tn.MPS([np.zeros((1, 2, 1)), np.zeros((1, 2))])
+    with pytest.raises(tn.ShapeError, match="matching ring bonds"):
+        tn.MPS([np.zeros((2, 2, 3)), np.zeros((3, 2, 3))], boundary=mpsmod.PERIODIC)
+    with pytest.raises(tn.ShapeError, match="ghz_mps"):
+        tn.ghz_mps(1)
+    with pytest.raises(tn.ShapeError, match="w_mps"):
+        tn.w_mps(2)
 
 
 def test_round_trip_exact():
@@ -63,6 +71,10 @@ def test_inner_matches_dense_overlap():
     mb, _ = tn.mps_from_dense(b)
     assert tn.inner(ma, mb) == pytest.approx(np.vdot(a.data, b.data))
     assert mpsmod.norm(ma) == pytest.approx(1.0)
+    with pytest.raises(tn.ShapeError, match="physical dimensions differ"):
+        tn.inner(ma, tn.mps_from_dense(random_state(4))[0])
+    with pytest.raises(tn.ShapeError, match="boundary conditions differ"):
+        tn.inner(tn.ghz_mps(3), tn.ghz_mps(3, boundary=mpsmod.PERIODIC))
 
 
 def test_ghz_open_and_periodic():
@@ -187,6 +199,19 @@ def test_bond_entropy_ghz():
         assert tn.bond_entropy(m, cut, q=2) == pytest.approx(math.log(2), abs=1e-10)
     with pytest.raises(tn.ShapeError):
         tn.bond_entropy(m, 0)
+    zero = tn.MPS([np.zeros((1, 2, 1), dtype=complex) for _ in range(3)])
+    with pytest.raises(tn.ShapeError, match="zero-norm"):
+        tn.bond_entropy(zero, 1)
+
+
+def test_periodic_chains_and_bras_are_refused():
+    ring = tn.ghz_mps(4, boundary=mpsmod.PERIODIC)
+    with pytest.raises(tn.ShapeError, match="open-boundary"):
+        tn.schmidt_values(ring, 1)
+    with pytest.raises(tn.ShapeError, match="open-boundary"):
+        tn.compress(ring, tn.TrimPolicy.max_rank(2))
+    with pytest.raises(tn.ShapeError, match="expects a ket"):
+        tn.mps_from_dense(tn.bra([1, 0, 0, 0], dims=[2, 2]))
 
 
 def test_product_state_bonds_are_one():

@@ -170,6 +170,11 @@ def test_contract_rejects_reused_wire():
     v = tn.ket([1, 0], labels=["x"])
     with pytest.raises(tn.WireError):
         tn.contract(m, [("in", "x"), ("in", "x")], v)
+    t = tn.Tensor(np.zeros((2, 2, 2, 2)), [tn.WireSpec(l, 2, f) for l, f in zip("abcd", [tn.UPPER, tn.LOWER] * 2)])
+    with pytest.raises(tn.WireError, match="wire reused"):
+        tn.contract(t, [("a", "b"), ("a", "d")])
+    with pytest.raises(tn.WireError, match="wire reused"):
+        tn.contract(t, [("a", "a")])
 
 
 def test_self_contraction_is_trace():
@@ -261,6 +266,19 @@ def test_permute_by_labels_and_indices():
     assert q.labels == p.labels
     with pytest.raises(tn.WireError):
         tn.permute(t, ["a", "a", "b"])
+    with pytest.raises(tn.WireError, match="names 2 wires"):
+        tn.permute(t, ["a", "b"])
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: tn.matrix([1, 2]), "2-D array"),
+    (lambda: tn.transpose_map(tn.ket([1, 0, 0, 0], dims=[2, 2])), "transpose_map"),
+    (lambda: tn.vectorize(tn.ket([1, 0])), "vectorize"),
+    (lambda: tn.devectorize(tn.matrix(np.eye(2))), "devectorize"),
+])
+def test_maps_need_their_shape(call, match):
+    with pytest.raises(tn.ShapeError, match=match):
+        call()
 
 
 def test_enumerate_reshapes_generic_matrix_has_six():
