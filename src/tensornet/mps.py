@@ -8,6 +8,11 @@ absorbs the kept singular values into the right factor at every cut.  A
 wide cut (fewer rows r than columns) is first reduced to the r x r
 triangular factor of a QR of its transpose, whose SVD gives the same left
 singular vectors and values; its carry is then u^dagger times the block.
+That R comes from a sequential TSQR: R-only QRs of row blocks of about
+``QR_BLOCK`` elements, stacked, and one more R-only QR of the stack.
+Densifying contracts the left and the right half of the chain as two
+matrix chains and joins them with one matrix product, which also traces
+the ring bonds of a periodic chain.
 Overlaps and norms are zipper contractions: a 2-index environment per
 boundary pair, grown site by site at O(D^2 chi^3 d) per site (D the ring
 bond, 1 for open chains), so no chi^4 array is ever built.
@@ -25,12 +30,15 @@ from . import catalog
 from .decomp import TrimPolicy, renyi_entropy, schmidt_rank, svd_matrix
 from .errors import ShapeError, SizeLimitError
 from .network import from_terms
-from .tensor import UPPER, Tensor, WireSpec, raise_wire
+from .tensor import UPPER, Tensor, WireSpec, _adopt, raise_wire
 
 OPEN = "open"
 PERIODIC = "periodic"
 
 DENSE_GUARD = 2**20  # refuse to densify anything larger than this
+# elements per row block of the TSQR of a wide cut; a cut of at most this
+# many elements takes one direct QR (see CHANGES.md for the timing table)
+QR_BLOCK = 2**15
 
 
 @dataclass
@@ -98,13 +106,16 @@ def mps_from_dense(state: Tensor, policy: TrimPolicy | None = None) -> tuple[MPS
         raise ShapeError("mps_from_dense expects a ket (all wires UPPER)")
     dims = [w.dim for w in state.wires]
     _check_dense(dims)  # the fidelity below densifies the result
+    norm2 = np.linalg.norm(state.data) ** 2
+    if norm2 == 0:
+        raise ShapeError("zero-norm state: its squared norm is 0, so the factorization has no fidelity")
     cores, weights, dropped = _trim_sweep(state.data.reshape(1, -1), dims, policy)
     m = MPS(cores)
     if policy is not None:
         nrm = norm(m)
         if nrm > 0:
             cores[-1] = cores[-1] / nrm
-    fid = abs(inner_dense(m, state)) ** 2 / max(np.linalg.norm(state.data) ** 2, 1e-300)
+    fid = abs(inner_dense(m, state)) ** 2 / norm2
     bound = _fidelity_bound(policy, weights, dropped)
     return m, CompressionReport(m.bond_dims, tuple(weights), bound, float(fid), tuple(dropped))
 
@@ -120,9 +131,11 @@ def _trim_sweep(block: np.ndarray, dims: Sequence[int], policy: TrimPolicy | Non
     right of the first) is given, it is absorbed into the next core
     instead.  A wide ``mat`` (r rows < columns) is reduced first: the SVD
     runs on the r x r factor ``R.T`` of an R-only QR ``mat.T = Q R``, and
-    the carry is the equal product ``u^dagger . mat``.  Tall and square
-    cuts take the SVD of ``mat`` itself, so ``svd_matrix`` runs once per
-    cut and never on a wide matrix.
+    the carry is the equal product ``u^dagger . mat``.  ``R`` is found by
+    the blocked QR of :func:`_r_factor`, which makes one direct call on a
+    cut of at most ``QR_BLOCK`` elements.  Tall and square cuts take the
+    SVD of ``mat`` itself, so ``svd_matrix`` runs once per cut and never
+    on a wide matrix.
     ``policy=None`` keeps every singular value above the numerical rank.
     Returns the cores, the discarded weight and the dropped count per cut.
     """
@@ -136,7 +149,7 @@ def _trim_sweep(block: np.ndarray, dims: Sequence[int], policy: TrimPolicy | Non
         if wide:
             # mat = r.T q.T with q.T's rows orthonormal, so the r x r r.T has
             # mat's left singular vectors and values; q is never formed
-            u, s, _ = svd_matrix(np.linalg.qr(mat.T, mode="r").T)
+            u, s, _ = svd_matrix(_r_factor(mat.T).T)
         else:
             u, s, v_dag = svd_matrix(mat)
         if policy is None:
@@ -154,6 +167,21 @@ def _trim_sweep(block: np.ndarray, dims: Sequence[int], policy: TrimPolicy | Non
         block = carry if tail is None else np.tensordot(carry, tail[k], axes=(1, 0))
     cores.append(block.reshape(-1, dims[-1], 1))
     return cores, weights, dropped
+
+
+def _r_factor(a: np.ndarray) -> np.ndarray:
+    """R of ``a = Q R`` for a tall ``a`` (rows >= columns), by a flat
+    sequential TSQR: the R-only QR of each row block of about ``QR_BLOCK``
+    elements (and at least as many rows as columns), then the R-only QR of
+    the stacked block factors.  ``R^H R = a^H a`` either way; ``a`` that
+    fits in one block takes the direct call.
+    """
+    rows, cols = a.shape
+    step = max(QR_BLOCK // cols, cols)
+    if rows <= step:
+        return np.linalg.qr(a, mode="r")
+    parts = [np.linalg.qr(a[i:i + step], mode="r") for i in range(0, rows, step)]
+    return np.linalg.qr(np.concatenate(parts), mode="r")
 
 
 def _fidelity_bound(policy: TrimPolicy | None, weights: list[float], dropped: list[int]) -> float:
@@ -188,17 +216,27 @@ def _check_dense(phys_dims: Sequence[int]) -> None:
 
 
 def to_dense(m: MPS) -> Tensor:
-    """Full state vector as a Tensor; guarded against huge outputs."""
+    """Full state vector as a Tensor; guarded against huge outputs.
+
+    The left half of the chain is contracted left to right into a matrix
+    with rows (ring bond, left sites) and the right half right to left into
+    one with rows (middle bond) and columns (right sites, ring bond).  One
+    matrix product over the (ring bond, middle bond) pairs joins them and
+    traces the ring, so the only full-size array is the output itself.
+    """
     _check_dense(m.phys_dims)
-    acc = m.cores[0]  # (l0, phys..., r)
-    for c in m.cores[1:]:
-        acc = np.tensordot(acc, c, axes=([-1], [0]))
-    if m.boundary == PERIODIC:
-        acc = np.trace(acc, axis1=0, axis2=acc.ndim - 1)
-    else:
-        acc = acc.reshape(m.phys_dims)
+    half = len(m) // 2
+    ring, mid = m.cores[0].shape[0], m.cores[half].shape[0]
+    left = np.eye(ring, dtype=complex)  # rows (ring, sites so far), columns the open bond
+    for c in m.cores[:half]:
+        left = left.reshape(-1, c.shape[0]) @ c.reshape(c.shape[0], -1)
+    right = np.eye(ring, dtype=complex)  # rows the open bond, columns (sites so far, ring)
+    for c in reversed(m.cores[half:]):
+        right = c.reshape(-1, c.shape[2]) @ right.reshape(c.shape[2], -1)
+    left = left.reshape(ring, -1, mid).transpose(1, 0, 2).reshape(-1, ring * mid)
+    right = right.reshape(mid, -1, ring).transpose(2, 0, 1).reshape(ring * mid, -1)
     wires = [WireSpec(f"s{k}", d, UPPER) for k, d in enumerate(m.phys_dims)]
-    return Tensor(acc, wires)
+    return _adopt(left @ right, wires)
 
 
 def inner(a: MPS, b: MPS) -> complex:
@@ -341,6 +379,9 @@ def compress(m: MPS, policy: TrimPolicy) -> tuple[MPS, CompressionReport]:
     """
     if m.boundary != OPEN:
         raise ShapeError("compress requires an open-boundary MPS")
+    norm2 = inner(m, m).real
+    if norm2 <= 0:
+        raise ShapeError("zero-norm state: its squared norm is 0, so the compression has no fidelity")
     n = len(m)
     cores = [c.copy() for c in m.cores]
     # right-canonicalize so each later SVD sees true Schmidt values
@@ -356,6 +397,6 @@ def compress(m: MPS, policy: TrimPolicy) -> tuple[MPS, CompressionReport]:
     if nrm > 0:
         cores[-1] = cores[-1] / nrm
         out = MPS(cores)
-    fid = abs(inner(m, out)) ** 2 / max(inner(m, m).real, 1e-300)
+    fid = abs(inner(m, out)) ** 2 / norm2
     bound = _fidelity_bound(policy, weights, dropped)
     return out, CompressionReport(out.bond_dims, tuple(weights), bound, float(fid), tuple(dropped))

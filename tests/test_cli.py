@@ -14,7 +14,7 @@ import pytest
 
 import tensornet as tn
 from tensornet.cli import main
-from tensornet.fileio import format_amplitudes, parse_amplitudes
+from tensornet.fileio import format_amplitudes, parse_amplitudes, read_amplitudes, write_amplitudes
 
 rng = np.random.default_rng(55)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -43,12 +43,20 @@ def parse_human(out):
 # -- amplitude files ----------------------------------------------------
 
 
-def test_amplitude_round_trip():
+def test_amplitude_round_trip(tmp_path):
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
     t = tn.ket(v, dims=[2, 2, 2])
     back = parse_amplitudes(format_amplitudes(t))
     assert np.allclose(back.data, t.data)
     assert [w.dim for w in back.wires] == [2, 2, 2]
+    # through a file: 17 significant digits give back every double
+    v = rng.normal(size=12) + 1j * rng.normal(size=12)
+    v[3] = 0
+    t = tn.ket(v, labels=["s0", "s1", "s2"], dims=[2, 3, 2])  # the file's wire labels
+    write_amplitudes(tmp_path / "state.txt", t)
+    back = read_amplitudes(tmp_path / "state.txt")
+    assert np.array_equal(back.data, t.data)
+    assert back.wires == t.wires
 
 
 @pytest.mark.parametrize(
@@ -325,6 +333,14 @@ def test_invariant_zero_state_exit_2(tmp_path, capsys):
     f = state_file(tmp_path, "zero.txt", [0, 0, 0, 0], [2, 2])
     assert main(["invariant", f, "--which", "concurrence"]) == 2
     assert "zero state" in capsys.readouterr().err
+
+
+def test_mps_zero_state_exit_2(tmp_path, capsys):
+    f = state_file(tmp_path, "zero.txt", [0, 0, 0, 0], [2, 2])
+    assert main(["mps", f, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "zero-norm state" in captured.err
 
 
 def test_invariant_wrong_shape_exit_2(tmp_path, capsys):

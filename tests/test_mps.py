@@ -365,3 +365,122 @@ def test_schmidt_values_equal_the_q_forming_sweeps_bitwise():
     m = tn.MPS(random_cores([1] + [min(2**k, 2 ** (n - k), 16) for k in range(1, n)] + [1]))
     for cut in range(1, n):
         assert np.array_equal(tn.schmidt_values(m, cut), reference_schmidt_values(m, cut))
+
+
+def test_zero_state_is_refused_before_the_sweep(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("swept a zero state")
+
+    monkeypatch.setattr(mpsmod, "svd_matrix", no_svd)
+    for policy in (None, tn.TrimPolicy.max_rank(2)):
+        with pytest.raises(tn.ShapeError, match="zero-norm state"):
+            tn.mps_from_dense(tn.ket(np.zeros(4), dims=[2, 2]), policy)
+    with pytest.raises(tn.ShapeError, match="zero-norm state"):
+        tn.compress(tn.MPS([np.zeros((1, 2, 1), dtype=complex) for _ in range(3)]), tn.TrimPolicy.max_rank(2))
+
+
+# -- the blocked R-only QR of wide cuts ---------------------------------
+
+
+def test_r_factor_of_uneven_blocks(monkeypatch):
+    monkeypatch.setattr(mpsmod, "QR_BLOCK", 64)
+    shapes = []
+    qr = np.linalg.qr
+
+    def recorded(a, mode):
+        shapes.append(a.shape)
+        return qr(a, mode=mode)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np.linalg, "qr", recorded)
+        mpsmod._r_factor(np.ones((45, 6)))
+    # 64 // 6 = 10 rows per block: blocks of 10, 10, 10, 10 and a last one
+    # of 5 rows, fewer than its 6 columns, then the QR of their stacked Rs
+    assert shapes == [(10, 6)] * 4 + [(5, 6), (4 * 6 + 5, 6)]
+    # 64 // 20 < 20 gives blocks of 20 rows
+    for rows, cols in ((45, 6), (41, 6), (50, 20), (10, 6), (7, 7), (300, 1)):
+        a = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        r = mpsmod._r_factor(a)
+        gram = a.conj().T @ a
+        assert r.shape == (cols, cols) and np.array_equal(r, np.triu(r))
+        assert np.linalg.norm(r.conj().T @ r - gram) <= 1e-12 * np.linalg.norm(gram)
+    a = rng.normal(size=(10, 6)) + 0j  # 60 elements: one block, the direct call
+    assert np.array_equal(mpsmod._r_factor(a), np.linalg.qr(a, mode="r"))
+
+
+def recorded_sweep(run, monkeypatch):
+    """``run()`` -> (MPS, report), and the singular values of every cut."""
+    values = []
+
+    def recorded(m):
+        u, s, v_dag = svd_matrix(m)
+        values.append(s)
+        return u, s, v_dag
+
+    with monkeypatch.context() as patched:
+        patched.setattr(mpsmod, "svd_matrix", recorded)
+        m, rep = run()
+    return m, rep, values
+
+
+def test_blocked_qr_sweep_matches_the_one_block_sweep(monkeypatch):
+    policies = [None, tn.TrimPolicy.max_rank(3), tn.TrimPolicy.max_rank(16), tn.TrimPolicy.cutoff(0.02)]
+    for n in (8, 10, 12):
+        states = {"random": random_state(n), "product": product_state(n),
+                  "ghz": tn.to_dense(tn.ghz_mps(n)), "w": tn.to_dense(tn.w_mps(n))}
+        for kind, state in states.items():
+            for policy in policies:
+                m, rep, values = recorded_sweep(lambda: tn.mps_from_dense(state, policy), monkeypatch)
+                with monkeypatch.context() as patched:
+                    patched.setattr(mpsmod, "QR_BLOCK", 2**6)  # every wide cut of over 64 elements is blocked
+                    blocked, brep = tn.mps_from_dense(state, policy)
+                assert brep.bond_dims == rep.bond_dims and brep.dropped_counts == rep.dropped_counts
+                assert np.allclose(brep.discarded_weights, rep.discarded_weights, rtol=0, atol=1e-12)
+                assert brep.fidelity == pytest.approx(rep.fidelity, rel=0, abs=1e-12)
+                assert np.allclose(tn.to_dense(blocked).data, tn.to_dense(m).data, rtol=0, atol=1e-12)
+                if kind in ("ghz", "w"):
+                    continue  # degenerate Schmidt values: any basis of their span is right
+                for core, ref, s in zip(blocked.cores, m.cores, values):
+                    # a kept, numerically zero singular value has an arbitrary vector
+                    live = s[:ref.shape[2]] > RANK_TOL * s[0]
+                    assert np.allclose(core[..., live], ref[..., live], rtol=0, atol=1e-10)
+
+
+# -- densifying ----------------------------------------------------------
+
+
+def reference_to_dense(m):
+    """to_dense as one tensordot chain, tracing the ring at the end."""
+    acc = m.cores[0]  # (l0, phys..., r)
+    for c in m.cores[1:]:
+        acc = np.tensordot(acc, c, axes=([-1], [0]))
+    if m.boundary == mpsmod.PERIODIC:
+        acc = np.trace(acc, axis1=0, axis2=acc.ndim - 1)
+    else:
+        acc = acc.reshape(m.phys_dims)
+    return acc
+
+
+def test_half_chain_to_dense_matches_the_tensordot_chain():
+    for n in range(1, 8):
+        for d in (2, 3):
+            inner_bonds = list(rng.integers(1, 5, size=n - 1))
+            chains = [tn.MPS(random_cores([1, *inner_bonds, 1], d))]
+            chains += [tn.MPS(random_cores([ring, *inner_bonds, ring], d), mpsmod.PERIODIC) for ring in (1, 2, 3)]
+            for m in chains:
+                dense, ref = tn.to_dense(m), reference_to_dense(m)
+                assert dense.data.shape == ref.shape == (d,) * n
+                assert [w.label for w in dense.wires] == [f"s{k}" for k in range(n)]
+                assert np.allclose(dense.data, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+
+def test_to_dense_holds_little_beyond_its_output():
+    n, chi = 18, 32
+    m = tn.MPS(random_cores([1] + [min(2**k, 2 ** (n - k), chi) for k in range(1, n)] + [1]))
+    tracemalloc.start()
+    try:
+        dense = tn.to_dense(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * dense.data.nbytes
