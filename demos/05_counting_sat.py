@@ -3,11 +3,12 @@
 Each clause becomes one clause tensor: 1 on every assignment of its
 variables except the single one that falsifies it, where it is 0.  A
 clause wider than 3 is split into a chain of order-3 pieces passing on a
-"satisfied so far" flag.  Each variable becomes a COPY spider that hands
-its value to every clause it appears in; a spider with many legs is split
-into a chain of order-3 COPY tensors (spider fusion read backwards), so
-no tensor in the network has more than 3 wires.  Summing over all assignments is
-closing every variable wire with the unnormalized <+|.
+"satisfied so far" flag.  Each variable becomes one COPY spider that
+hands its value to every clause it appears in: one wire of the spider
+carries a bond to each of them, which by spider fusion is the same as a
+spider with one leg per clause, so no tensor in the network has more than
+3 wires.  Summing over all assignments is closing every variable wire with
+the unnormalized <+|.
 """
 
 import tensornet as tn

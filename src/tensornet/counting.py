@@ -4,15 +4,16 @@ brute-force oracle.
 
 A CNF formula becomes one clause tensor per clause (1 except 0 at the
 clause's falsifying assignment; a chain of order-3 pieces for clauses wider
-than 3) joined to a chain of order-3 COPY tensors per variable; a graph
-becomes one order-3 epsilon per node.  The COPY tensors and the <+| caps
-are spiders (``TensorNetwork.add_spider``): the engine fuses each variable's
-chain into one index shared by the clause tensors that read it, so a count
-plans and contracts the clause tensors only, every intermediate is indexed
-by distinct variables, and an unused variable is a scalar factor 2.  Counts
-are logged at DEBUG level on the ``tensornet`` logger with the network size
-(every node and bond, spiders included), the plan peak, the planning time
-and the contraction time.
+than 3) joined to one COPY tensor per variable, whose wire carries a bond to
+every clause wire that reads the variable; a graph becomes one order-3
+epsilon per node.  The COPY tensors and the <+| caps are spiders
+(``TensorNetwork.add_spider``): the engine keeps each variable as one index
+shared by the clause tensors that read it, so a count plans and contracts
+the clause tensors only, every intermediate is indexed by distinct
+variables, and an unused variable is a scalar factor 2.  Counts are logged
+at DEBUG level on the ``tensornet`` logger with the network size (every
+node and bond, spiders included), the plan peak, the planning time and the
+contraction time.
 """
 
 from __future__ import annotations
@@ -189,24 +190,22 @@ def _formula_layer(net: TensorNetwork, f: CnfFormula, bra: bool) -> list[tuple[i
     """Add the clause-tensor network of f to ``net``.
 
     Every clause is one clause tensor, or for clauses wider than 3 a chain
-    of order-3 pieces (see ``_clause_pieces``).  A variable with k >= 2
-    occurrences is a chain of order-3 COPY tensors (the spider-fusion
-    identity read backwards), so no node has more than 3 wires:
-    ``copy_tensor(3, 0)`` first, then k - 2 links of ``copy_tensor(2, 1)``.
-    A variable with k <= 1 occurrences is a single ``copy_tensor(k + 1, 0)``.
-    The chain carries the open state wire plus one feed per occurrence,
-    bonded to the clause wires in clause order.  COPY tensors are added as
-    spiders, so the engine fuses each chain back into one shared index and
-    plans and contracts the clause tensors only.
+    of order-3 pieces (see ``_clause_pieces``).  Every variable is one COPY
+    spider: ``copy_tensor(2, 0)`` if some clause reads it, else
+    ``copy_tensor(1, 0)``.  Its ``o0`` is the open state wire, and every
+    clause wire that reads the variable is bonded to its ``o1``; by spider
+    fusion that is one spider with a leg per reader.  The engine keeps the
+    spider as one index shared by its readers, so it plans and contracts
+    the clause tensors only.
 
     Returns one open variable end per variable, in variable order (the
     state wires of |f>).  With ``bra=True`` every tensor is replaced by its
     dagger, producing <f|; bonds join wires by label, so the reversed wire
     order does not matter.
 
-    Tensors are immutable, so each distinct one (a COPY head, the COPY
-    link, a clause piece per sign pattern) is built once per call and the
-    same instance is added at every node that needs it.
+    Tensors are immutable, so each distinct one (the two spiders, a clause
+    piece per sign pattern) is built once per call and the same instance
+    is added at every node that needs it.
     """
     made: dict[tuple, Tensor] = {}  # (constructor, arguments) -> tensor
 
@@ -216,32 +215,9 @@ def _formula_layer(net: TensorNetwork, f: CnfFormula, bra: bool) -> list[tuple[i
             t = made[build, args] = dagger(build(*args)) if bra else build(*args)
         return t
 
-    occurrences = [0] * (f.num_vars + 1)
-    for clause in f.clauses:
-        for lit in clause:
-            occurrences[abs(lit)] += 1
-
-    heads = {h: tensor(catalog.copy_tensor, h + 1, 0) for h in sorted({min(k, 2) for k in occurrences[1:]})}
-    link = tensor(catalog.copy_tensor, 2, 1) if max(occurrences) > 2 else None
-
-    open_ends = []
-    feeds = [[]]  # per variable, its unused feed ends, the next one last
-    for v in range(1, f.num_vars + 1):
-        k = occurrences[v]
-        nid = net.add_spider(heads[min(k, 2)])
-        open_ends.append((nid, "o0"))
-        if k < 2:
-            feeds.append([(nid, "o1")] * k)
-            continue
-        ends, last = [(nid, "o1")], (nid, "o2")
-        for _ in range(k - 2):
-            nid = net.add_spider(link)
-            net.connect(last, (nid, "i0"))
-            ends.append((nid, "o0"))
-            last = (nid, "o1")
-        ends.append(last)
-        ends.reverse()
-        feeds.append(ends)
+    read = {abs(lit) for clause in f.clauses for lit in clause}
+    spiders = [net.add_spider(tensor(catalog.copy_tensor, 2 if v in read else 1, 0))
+               for v in range(1, f.num_vars + 1)]
 
     shapes = {}  # signs of a clause -> its pieces as (tensor, ((variable position, wire label), ...))
     for clause in f.clauses:
@@ -257,9 +233,9 @@ def _formula_layer(net: TensorNetwork, f: CnfFormula, bra: bool) -> list[tuple[i
             if prev is not None:
                 net.connect((prev, "s1"), (cid, "s0"))
             for j, label in reads:
-                net.connect(feeds[abs(clause[j])].pop(), (cid, label))
+                net.connect((spiders[abs(clause[j]) - 1], "o1"), (cid, label))
             prev = cid
-    return open_ends
+    return [(nid, "o0") for nid in spiders]
 
 
 def formula_state_network(f: CnfFormula) -> tuple[TensorNetwork, list[tuple[int, str]]]:

@@ -101,6 +101,8 @@ def mps_from_dense(state: Tensor, policy: TrimPolicy | None = None) -> tuple[MPS
 
     ``policy=None`` keeps every singular value (exact factorization);
     otherwise each cut is trimmed and the final state is renormalized.
+    The fidelity is |<m|psi>|^2 / (||m||^2 ||psi||^2) either way, and each
+    discarded weight is a fraction of ||psi||^2.
     """
     if any(w.flavor is not UPPER for w in state.wires):
         raise ShapeError("mps_from_dense expects a ket (all wires UPPER)")
@@ -111,13 +113,12 @@ def mps_from_dense(state: Tensor, policy: TrimPolicy | None = None) -> tuple[MPS
         raise ShapeError("zero-norm state: its squared norm is 0, so the factorization has no fidelity")
     cores, weights, dropped = _trim_sweep(state.data.reshape(1, -1), dims, policy)
     m = MPS(cores)
-    if policy is not None:
-        nrm = norm(m)
-        if nrm > 0:
-            cores[-1] = cores[-1] / nrm
-    fid = abs(inner_dense(m, state)) ** 2 / norm2
-    bound = _fidelity_bound(policy, weights, dropped)
-    return m, CompressionReport(m.bond_dims, tuple(weights), bound, float(fid), tuple(dropped))
+    nrm = norm(m)
+    if policy is not None and nrm > 0:  # renormalize: ||m|| is then 1
+        cores[-1] = cores[-1] / nrm
+        nrm = 1.0
+    fid = abs(inner_dense(m, state)) ** 2 / norm2 / nrm**2
+    return m, _report(m, policy, weights, dropped, norm2, fid)
 
 
 def _trim_sweep(block: np.ndarray, dims: Sequence[int], policy: TrimPolicy | None,
@@ -184,11 +185,18 @@ def _r_factor(a: np.ndarray) -> np.ndarray:
     return np.linalg.qr(np.concatenate(parts), mode="r")
 
 
-def _fidelity_bound(policy: TrimPolicy | None, weights: list[float], dropped: list[int]) -> float:
+def _report(m: MPS, policy: TrimPolicy | None, weights: list[float], dropped: list[int], norm2: float,
+            fid: float) -> CompressionReport:
+    """The report of a sweep of a state of squared norm ``norm2``: its
+    absolute discarded weights become fractions of ``norm2``, and so does
+    the xi^2 of the quadratic fidelity bound of an absolute cutoff."""
+    weights = [float(w / norm2) for w in weights]
     if policy is not None and policy.xi is not None and not policy.relative:
-        # quadratic bound: |<psi|psi''>|^2 >= 1 - sum_cuts n_c xi^2
-        return 1.0 - policy.xi**2 * sum(dropped)
-    return 1.0 - sum(weights)
+        # quadratic bound: |<psi|psi''>|^2 >= 1 - sum_cuts n_c xi^2 / ||psi||^2
+        bound = 1.0 - policy.xi**2 * sum(dropped) / norm2
+    else:
+        bound = 1.0 - sum(weights)
+    return CompressionReport(m.bond_dims, tuple(weights), float(bound), float(fid), tuple(dropped))
 
 
 # -- evaluation --------------------------------------------------------
@@ -374,8 +382,8 @@ def compress(m: MPS, policy: TrimPolicy) -> tuple[MPS, CompressionReport]:
     """Sweep of SVD + trim across every bond of an open-boundary MPS.
 
     The result is renormalized; the report carries per-cut discarded
-    weights, the quadratic fidelity lower bound, and the actual fidelity
-    against the input state.
+    weights as fractions of the input's squared norm, the quadratic
+    fidelity lower bound, and the actual fidelity against the input state.
     """
     if m.boundary != OPEN:
         raise ShapeError("compress requires an open-boundary MPS")
@@ -398,5 +406,4 @@ def compress(m: MPS, policy: TrimPolicy) -> tuple[MPS, CompressionReport]:
         cores[-1] = cores[-1] / nrm
         out = MPS(cores)
     fid = abs(inner(m, out)) ** 2 / norm2
-    bound = _fidelity_bound(policy, weights, dropped)
-    return out, CompressionReport(out.bond_dims, tuple(weights), bound, float(fid), tuple(dropped))
+    return out, _report(out, policy, weights, dropped, norm2, fid)

@@ -2,11 +2,12 @@
 entanglement invariants that are naturally expressed as networks.
 
 A network holds tensor nodes joined by two-ended bonds, plus spiders: COPY
-(delta) tensors added with ``TensorNetwork.add_spider``.  By the spider-fusion
-identity a connected group of spiders is one index shared by every wire
-bonded to it, so planning and contraction see only the other nodes, each as
-a list of index names, and a count over clause tensors joined by COPY
-tensors contracts its clause tensors only.
+(delta) tensors added with ``TensorNetwork.add_spider``, whose wires may each
+carry any number of bonds.  By the spider-fusion identity a connected group
+of spiders is one index shared by every wire bonded to it, so planning and
+contraction see only the other nodes, each as a list of index names, and a
+count over clause tensors joined by COPY tensors contracts its clause
+tensors only.
 
 A network built by hand is written as its index formula: ``from_terms``
 takes (tensor, keys) terms, one node each, and bonds the two wires that
@@ -152,8 +153,10 @@ class _Sizes:
 class TensorNetwork:
     """Multigraph of tensor nodes joined by bonds.
 
-    Bonds join wires of equal dimension and opposite flavor; a wire can
-    participate in at most one bond.  Nodes may be mutated (added,
+    Bonds join wires of equal dimension and opposite flavor.  A wire of a
+    spider takes any number of bonds, and a wire of any other node at most
+    one: by spider fusion, k ends bonded to one spider wire are k ends
+    bonded to k legs of one bigger spider.  Nodes may be mutated (added,
     connected) until contraction, which is a pure function of the network.
     Every ``add``, ``add_spider`` and ``connect`` starts a new version of
     the network; the fused view is built once per version.
@@ -163,7 +166,7 @@ class TensorNetwork:
         self._nodes: dict[int, Tensor] = {}
         self._spiders: set[int] = set()
         self._bonds: list[tuple[End, End]] = []
-        self._bond_of: dict[End, int] = {}  # bonded end -> index in _bonds
+        self._bond_of: dict[End, int] = {}  # bonded end -> index in _bonds (a spider wire: its latest)
         self._next_id = 0
         self._ends = 0  # wire ends of all nodes: the network is closed when every one is bonded
         self._version = 0
@@ -212,9 +215,10 @@ class TensorNetwork:
             raise WireError(f"bond {end_a}-{end_b}: dims {wa.dim} != {wb.dim}")
         if wa.flavor is wb.flavor:
             raise WireError(f"bond {end_a}-{end_b}: both wires are {wa.flavor.value}")
-        bond_of = self._bond_of
-        if end_a in bond_of or end_b in bond_of:
-            raise WireError(f"wire already bonded: {end_a if end_a in bond_of else end_b}")
+        bond_of, spiders = self._bond_of, self._spiders
+        for end in (end_a, end_b):
+            if end in bond_of and end[0] not in spiders:
+                raise WireError(f"wire already bonded: {end}")
         bond_of[end_a] = bond_of[end_b] = len(self._bonds)
         self._bonds.append((end_a, end_b))
         self._version += 1
@@ -248,7 +252,7 @@ class TensorNetwork:
                 root[max(ra, rb)] = min(ra, rb)
 
         bonds, bond_of = self._bonds, self._bond_of
-        closed = 2 * len(bonds) == self._ends  # then no spider wire is open
+        closed = len(bond_of) == self._ends  # then no spider wire is open
         wires, holders, dims, open_ends, open_names = {}, {}, {}, [], []
         for nid, t in self._nodes.items():  # ids are added in increasing order
             if nid in root:

@@ -335,6 +335,18 @@ def test_invariant_zero_state_exit_2(tmp_path, capsys):
     assert "zero state" in capsys.readouterr().err
 
 
+def test_mps_unnormalized_state_reports_fractions_of_its_norm(tmp_path, capsys):
+    # squared norm 8: the fidelity read 8.0, and with --max-bond 1 the weight 4.0 and the bound -3.0
+    f = write(tmp_path, "u.txt", "dims 2 2\n2 0\n0 0\n0 0\n2 0\n")
+    assert main(["mps", f, "--json"]) == 0
+    machine = json.loads(capsys.readouterr().out)
+    assert machine["fidelity"] == pytest.approx(1.0) and machine["fidelity_bound"] == 1.0
+    assert main(["mps", f, "--max-bond", "1", "--json"]) == 0
+    machine = json.loads(capsys.readouterr().out)
+    assert machine["discarded_weight_cut_1"] == pytest.approx(0.5)
+    assert machine["fidelity_bound"] == pytest.approx(0.5) and machine["fidelity"] == pytest.approx(0.5)
+
+
 def test_mps_zero_state_exit_2(tmp_path, capsys):
     f = state_file(tmp_path, "zero.txt", [0, 0, 0, 0], [2, 2])
     assert main(["mps", f, "--json"]) == 2

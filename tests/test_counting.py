@@ -240,16 +240,19 @@ def reference_formula_layer(net, f, bra):
     return open_ends
 
 
-def network_layout(net):
-    """Nodes (wires and components), which nodes share one tensor object,
-    and bonds, in order."""
-    first = {}
-    nodes = [(nid, t.wires, t.data.tobytes(), first.setdefault(id(t), nid)) for nid, t in net.nodes.items()]
-    return nodes, sorted(net._spiders), net.bonds
+def reference_formula_network(f):
+    """``formula_to_network`` on the COPY chains of ``reference_formula_layer``."""
+    net = tn.TensorNetwork()
+    plus = tn.Tensor([1, 1], [tn.WireSpec("b", 2, tn.LOWER)])
+    for end in reference_formula_layer(net, f, bra=False):
+        net.connect(end, (net.add_spider(plus), "b"))
+    return net
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_formula_layer_builds_the_reference_network(seed):
+    # one spider per variable against the reference's COPY chains: node ids
+    # differ, so compare the open ends, the contracted |f> and <f|, and the plans
     gen = np.random.default_rng(seed)
     for k in range(8):
         n = int(gen.integers(1, 10))
@@ -258,8 +261,20 @@ def test_formula_layer_builds_the_reference_network(seed):
                               for w in widths])
         for bra in (False, True):
             net, expect = tn.TensorNetwork(), tn.TensorNetwork()
-            assert _formula_layer(net, f, bra) == reference_formula_layer(expect, f, bra)
-            assert network_layout(net) == network_layout(expect)
+            assert len(_formula_layer(net, f, bra)) == len(reference_formula_layer(expect, f, bra)) == n
+            out, ref = net.contract_all(), expect.contract_all()
+            assert [(w.dim, w.flavor) for w in out.wires] == [(w.dim, w.flavor) for w in ref.wires]
+            assert out.data.tobytes() == ref.data.tobytes()
+            assert net.greedy_plan().peak_size == expect.greedy_plan().peak_size
+
+
+@pytest.mark.parametrize("num_vars, num_clauses", [(8, 16), (20, 85), (30, 128), (50, 100), (50, 213)])
+def test_plan_peaks_equal_the_reference_chains_on_random_3sat(num_vars, num_clauses):
+    for seed in (1, 2):
+        f = random_3sat(num_vars, num_clauses, seed)
+        net = formula_to_network(f)
+        assert net.greedy_plan().peak_size == reference_formula_network(f).greedy_plan().peak_size
+        assert len(net.nodes) == 2 * num_vars + num_clauses
 
 
 def test_network_nodes_have_low_order():
@@ -269,10 +284,10 @@ def test_network_nodes_have_low_order():
 
 
 def test_equal_tensors_are_built_once_per_network():
-    # 3 COPY heads, the COPY link, 8 sign patterns of a 3-clause, the <+| cap
+    # 2 COPY spiders, 8 sign patterns of a 3-clause, the <+| cap
     net = formula_to_network(random_3sat(20, 85, 0))
-    assert len(net.nodes) > 300
-    assert len({id(t) for t in net.nodes.values()}) <= 13
+    assert len(net.nodes) == 20 + 85 + 20
+    assert len({id(t) for t in net.nodes.values()}) <= 11
 
 
 def test_wide_clause_is_a_chain_of_order_3_pieces():

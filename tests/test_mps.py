@@ -379,6 +379,45 @@ def test_zero_state_is_refused_before_the_sweep(monkeypatch):
         tn.compress(tn.MPS([np.zeros((1, 2, 1), dtype=complex) for _ in range(3)]), tn.TrimPolicy.max_rank(2))
 
 
+def test_unnormalized_state_reports_fractions_of_its_squared_norm():
+    # 2|00> + 2|11>: squared norm 8, Schmidt values 2 and 2
+    state = tn.ket(np.array([2, 0, 0, 2], dtype=complex), dims=[2, 2])
+    _, rep = tn.mps_from_dense(state)
+    assert rep.fidelity == pytest.approx(1.0)
+    assert rep.discarded_weights == (0.0,) and rep.fidelity_bound == 1.0
+    _, rep = tn.mps_from_dense(state, tn.TrimPolicy.max_rank(1))
+    assert rep.discarded_weights == pytest.approx((0.5,))
+    assert rep.fidelity_bound == pytest.approx(0.5) and rep.fidelity == pytest.approx(0.5)
+    # 2|00> + 0.2|11> cut at xi = 0.5: weight 0.04 and xi^2 = 0.25, both of 4.04
+    _, rep = tn.mps_from_dense(tn.ket(np.array([2, 0, 0, 0.2], dtype=complex), dims=[2, 2]), tn.TrimPolicy.cutoff(0.5))
+    assert rep.discarded_weights == pytest.approx((0.04 / 4.04,))
+    assert rep.fidelity_bound == pytest.approx(1 - 0.25 / 4.04)
+    assert rep.fidelity == pytest.approx(4 / 4.04)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 3.0, 1e4])
+def test_reports_do_not_depend_on_the_norm_of_the_input(scale):
+    state = random_state(7)
+    big = state * scale
+    exact, big_exact = tn.mps_from_dense(state)[0], tn.mps_from_dense(big)[0]
+    for policy, scaled in [(None, None), (tn.TrimPolicy.max_rank(3), tn.TrimPolicy.max_rank(3)),
+                           (tn.TrimPolicy.cutoff(0.05), tn.TrimPolicy.cutoff(0.05 * scale)),
+                           (tn.TrimPolicy.cutoff(0.1, relative=True), tn.TrimPolicy.cutoff(0.1, relative=True))]:
+        _, rep = tn.mps_from_dense(state, policy)
+        _, big_rep = tn.mps_from_dense(big, scaled)
+        assert big_rep.bond_dims == rep.bond_dims and big_rep.dropped_counts == rep.dropped_counts
+        assert np.allclose(big_rep.discarded_weights, rep.discarded_weights, rtol=1e-9, atol=1e-12)
+        assert big_rep.fidelity_bound == pytest.approx(rep.fidelity_bound, rel=1e-9)
+        assert big_rep.fidelity == pytest.approx(rep.fidelity, rel=1e-9)
+        if policy is not None:
+            _, rep = tn.compress(exact, policy)
+            _, big_rep = tn.compress(big_exact, scaled)
+            assert big_rep.bond_dims == rep.bond_dims
+            assert np.allclose(big_rep.discarded_weights, rep.discarded_weights, rtol=1e-9, atol=1e-12)
+            assert big_rep.fidelity_bound == pytest.approx(rep.fidelity_bound, rel=1e-9)
+            assert big_rep.fidelity == pytest.approx(rep.fidelity, rel=1e-9)
+
+
 # -- the blocked R-only QR of wide cuts ---------------------------------
 
 

@@ -65,6 +65,50 @@ def test_connect_messages():
         net.connect((c, "z"), (e, "v"))
 
 
+def test_a_spider_wire_with_k_bonds_is_a_copy_tensor_with_k_legs():
+    gen = np.random.default_rng(5)
+    for k in range(1, 6):
+        readers = [tn.Tensor(gen.normal(size=(2, 3)) + 1j * gen.normal(size=(2, 3)),
+                             [tn.WireSpec("x", 2, tn.LOWER), tn.WireSpec("y", 3, tn.UPPER)]) for _ in range(k)]
+        net, dense = tn.TensorNetwork(), tn.TensorNetwork()
+        s = net.add_spider(tn.copy_tensor(2, 0))
+        c = dense.add(tn.copy_tensor(k + 1, 0))
+        for j, t in enumerate(readers):
+            net.connect((s, "o1"), (net.add(t), "x"))
+            dense.connect((c, f"o{j + 1}"), (dense.add(t), "x"))
+        assert len(net.bonds) == k
+        out, expect = net.contract_all(), dense.contract_all()
+        assert out.wires == expect.wires
+        assert np.allclose(out.data, expect.data, rtol=1e-12, atol=1e-12)
+
+
+def test_only_a_spider_wire_takes_a_second_bond():
+    net = tn.TensorNetwork()
+    a = net.add(tn.ket([1, 0], labels=["x"]))
+    c = net.add(tn.copy_tensor(2, 0))  # a COPY tensor that is not a spider
+    s = net.add_spider(tn.dagger(tn.copy_tensor(2, 0)))
+    net.connect((a, "x"), (s, "o0"))
+    with pytest.raises(tn.WireError, match=r"wire already bonded: \(0, 'x'\)"):
+        net.connect((a, "x"), (s, "o1"))
+    net.connect((c, "o0"), (s, "o0"))
+    with pytest.raises(tn.WireError, match=r"wire already bonded: \(1, 'o0'\)"):
+        net.connect((s, "o0"), (c, "o0"))
+    assert net.bonds == [((a, "x"), (s, "o0")), ((c, "o0"), (s, "o0"))]
+    assert net.open_wires() == [(c, "o1"), (s, "o1")]
+
+
+def test_an_open_spider_wire_stays_open_beside_a_multi_bonded_one():
+    # 4 wire ends and 2 bonds: counting bonds twice would call this closed
+    net = tn.TensorNetwork()
+    s = net.add_spider(tn.copy_tensor(2, 0))
+    for v in ([2, 3], [5, 7]):
+        net.connect((s, "o1"), (net.add(tn.bra(v, labels=["x"])), "x"))
+    assert net.open_wires() == [(s, "o0")]
+    out = net.contract_all()
+    assert out.labels == ("o0",)
+    assert np.array_equal(out.data, [10, 21])
+
+
 def test_contract_matrix_chain():
     m1 = rng.normal(size=(3, 4))
     m2 = rng.normal(size=(4, 5))
@@ -838,10 +882,14 @@ def test_heap_greedy_plan_equals_the_rescanning_greedy(monkeypatch):
         plan, expect = net.greedy_plan(), reference_greedy_plan(net)
         assert plan.merges == expect.merges
         assert plan.peak_size == expect.peak_size
-    # formula networks fuse their COPY spiders: never a higher peak, the same count
+    # a formula network keeps one spider per variable: never a higher peak than
+    # the rescanning greedy on the COPY chains it replaces, the same count (a
+    # spider wire with several bonds has no reading as a plain node)
+    from test_counting import reference_formula_network
+
     for f in formulas:
         net = tn.counting.formula_to_network(f)
-        assert net.greedy_plan().peak_size <= reference_greedy_plan(net).peak_size
+        assert net.greedy_plan().peak_size <= reference_greedy_plan(reference_formula_network(f)).peak_size
         assert tn.count_sat(f).count == tn.brute_force_sat(f)
 
 
