@@ -31,6 +31,7 @@ from .errors import (
     TensorError,
 )
 from .fileio import read_amplitudes
+from .tensor import _adopt, _times_pow2
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -149,7 +150,10 @@ def cmd_invariant(args) -> int:
     nrm = state.norm()
     if nrm == 0:
         raise ShapeError("zero state has no invariants")
-    state = state * (1.0 / nrm)
+    # scaled by its power of two first: 1 / nrm of a subnormal nrm overflows
+    # or has lost bits
+    state = _adopt(_times_pow2(state.data, -math.frexp(nrm)[1]), state.wires)
+    state = state * (1.0 / state.norm())
     if args.which == "concurrence":
         value = network.concurrence(state)
         report = {"concurrence": _num(value)}
@@ -165,6 +169,17 @@ def cmd_invariant(args) -> int:
 
 
 # -- driver -------------------------------------------------------------
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count of at least 1; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="amplitude file")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--cutoff", type=float, metavar="XI", help="drop singular values below XI")
-    group.add_argument("--max-bond", type=int, metavar="CHI", help="keep at most CHI singular values per cut")
+    group.add_argument("--max-bond", type=_positive_int, metavar="CHI", help="keep at most CHI singular values per cut")
     p.add_argument("--entropy", type=float, metavar="Q", help="also print Renyi-Q bond entropies")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_mps)

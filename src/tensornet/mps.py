@@ -10,6 +10,11 @@ triangular factor of a QR of its transpose, whose SVD gives the same left
 singular vectors and values; its carry is then u^dagger times the block.
 That R comes from a sequential TSQR: R-only QRs of row blocks of about
 ``QR_BLOCK`` elements, stacked, and one more R-only QR of the stack.
+A max-rank chi keeps every singular value of each cut before the first
+with more than chi rows; when that cut is wide, the state is reduced to its
+R factor once, the cuts up to it are swept on R, and one product with the
+chain of their cores gives the carry, so no earlier cut touches the state.
+A state whose norm is far from 1 is swept divided by a power of two.
 Densifying contracts the left and the right half of the chain as two
 matrix chains and joins them with one matrix product, which also traces
 the ring bonds of a periodic chain.
@@ -30,12 +35,15 @@ from . import catalog
 from .decomp import TrimPolicy, renyi_entropy, schmidt_rank, svd_matrix
 from .errors import ShapeError, SizeLimitError
 from .network import from_terms
-from .tensor import UPPER, Tensor, WireSpec, _adopt, raise_wire
+from .tensor import UPPER, Tensor, WireSpec, _adopt, _norm, _times_pow2, raise_wire
 
 OPEN = "open"
 PERIODIC = "periodic"
 
 DENSE_GUARD = 2**20  # refuse to densify anything larger than this
+# the fidelity squares an overlap of order ||psi||^2, so a state whose norm
+# is outside this range (the square root of tensor.NORM_RANGE) is swept scaled
+SWEEP_RANGE = (2.0**-250, 2.0**250)
 # elements per row block of the TSQR of a wide cut; a cut of at most this
 # many elements takes one direct QR (see CHANGES.md for the timing table)
 QR_BLOCK = 2**15
@@ -102,15 +110,26 @@ def mps_from_dense(state: Tensor, policy: TrimPolicy | None = None) -> tuple[MPS
     ``policy=None`` keeps every singular value (exact factorization);
     otherwise each cut is trimmed and the final state is renormalized.
     The fidelity is |<m|psi>|^2 / (||m||^2 ||psi||^2) either way, and each
-    discarded weight is a fraction of ||psi||^2.
+    discarded weight is a fraction of ||psi||^2.  A state whose norm lies
+    outside ``SWEEP_RANGE`` is swept divided by 2^e, the power of two of its
+    norm (an exact scaling, with an absolute cutoff scaled alike), so that
+    no power of the norm below underflows or overflows; an exact factorization then gets its
+    last core multiplied back by 2^e.
     """
     if any(w.flavor is not UPPER for w in state.wires):
         raise ShapeError("mps_from_dense expects a ket (all wires UPPER)")
     dims = [w.dim for w in state.wires]
     _check_dense(dims)  # the fidelity below densifies the result
-    norm2 = np.linalg.norm(state.data) ** 2
-    if norm2 == 0:
+    size = _norm(state.data)
+    if size == 0:
         raise ShapeError("zero-norm state: its squared norm is 0, so the factorization has no fidelity")
+    e = 0 if SWEEP_RANGE[0] <= size <= SWEEP_RANGE[1] else math.frexp(size)[1]
+    if e:
+        state = _adopt(_times_pow2(state.data, -e), state.wires)
+        size = state.norm()  # not size / 2^e: a subnormal size has lost bits
+        if policy is not None and policy.xi is not None and not policy.relative:
+            policy = TrimPolicy.cutoff(math.ldexp(policy.xi, -e))
+    norm2 = size**2
     cores, weights, dropped = _trim_sweep(state.data.reshape(1, -1), dims, policy)
     m = MPS(cores)
     nrm = norm(m)
@@ -118,6 +137,8 @@ def mps_from_dense(state: Tensor, policy: TrimPolicy | None = None) -> tuple[MPS
         cores[-1] = cores[-1] / nrm
         nrm = 1.0
     fid = abs(inner_dense(m, state)) ** 2 / norm2 / nrm**2
+    if policy is None and e:
+        cores[-1] = _times_pow2(cores[-1], e)
     return m, _report(m, policy, weights, dropped, norm2, fid)
 
 
@@ -137,13 +158,31 @@ def _trim_sweep(block: np.ndarray, dims: Sequence[int], policy: TrimPolicy | Non
     cut of at most ``QR_BLOCK`` elements.  Tall and square cuts take the
     SVD of ``mat`` itself, so ``svd_matrix`` runs once per cut and never
     on a wide matrix.
+
+    A dense state (no ``tail``, left bond 1) under a max-rank policy keeps
+    every singular value at each cut before ``first``, the first cut with
+    more than chi rows (:func:`_first_trim`).  If that cut is wide, the
+    state's matrix there, ``mat``, is reduced once, ``mat.T = Q R``, and
+    cuts 0 to ``first`` are swept on ``R.T``, read as the sites up to
+    ``first`` and one site of ``rows`` states.  At each of these cuts the
+    state's matrix is ``R.T``'s times the isometry ``I (x) Q.T`` on the
+    right, so the cores, singular values, keep counts and weights are the
+    same.  The carry at ``first`` is ``L^dagger . mat``, ``L`` the chain
+    product of those cores, and the loop goes on from the next cut.
     ``policy=None`` keeps every singular value above the numerical rank.
     Returns the cores, the discarded weight and the dropped count per cut.
     """
     cores: list[np.ndarray] = []
     weights: list[float] = []
     dropped: list[int] = []
-    for k in range(len(dims) - 1):
+    first = None if tail is not None else _first_trim(dims, policy)
+    if first is not None:
+        rows = math.prod(dims[:first + 1])
+        mat = block.reshape(rows, -1)
+        cores, weights, dropped = _trim_sweep(_r_factor(mat.T).T.reshape(1, -1), [*dims[:first + 1], rows], policy)
+        cores.pop()  # the carry of R.T; the state's is formed from mat
+        block = _left_chain(cores).reshape(rows, -1).conj().T @ mat
+    for k in range(0 if first is None else first + 1, len(dims) - 1):
         rank = block.shape[0]
         mat = block.reshape(rank * dims[k], -1)
         wide = mat.shape[0] < mat.shape[1]
@@ -168,6 +207,20 @@ def _trim_sweep(block: np.ndarray, dims: Sequence[int], policy: TrimPolicy | Non
         block = carry if tail is None else np.tensordot(carry, tail[k], axes=(1, 0))
     cores.append(block.reshape(-1, dims[-1], 1))
     return cores, weights, dropped
+
+
+def _first_trim(dims: Sequence[int], policy: TrimPolicy | None) -> int | None:
+    """The first cut k that a max-rank ``policy`` can trim, the first with
+    more than chi rows prod(dims[:k+1]), if it is wide and not cut 0;
+    otherwise None.  Each cut before it has at most chi rows and keeps
+    them all."""
+    if policy is None or policy.chi is None:
+        return None
+    for k in range(len(dims) - 1):
+        rows = math.prod(dims[:k + 1])
+        if rows > policy.chi:
+            return k if 0 < k and rows < math.prod(dims[k + 1:]) else None
+    return None
 
 
 def _r_factor(a: np.ndarray) -> np.ndarray:
@@ -235,9 +288,7 @@ def to_dense(m: MPS) -> Tensor:
     _check_dense(m.phys_dims)
     half = len(m) // 2
     ring, mid = m.cores[0].shape[0], m.cores[half].shape[0]
-    left = np.eye(ring, dtype=complex)  # rows (ring, sites so far), columns the open bond
-    for c in m.cores[:half]:
-        left = left.reshape(-1, c.shape[0]) @ c.reshape(c.shape[0], -1)
+    left = _left_chain(m.cores[:half], ring)
     right = np.eye(ring, dtype=complex)  # rows the open bond, columns (sites so far, ring)
     for c in reversed(m.cores[half:]):
         right = c.reshape(-1, c.shape[2]) @ right.reshape(c.shape[2], -1)
@@ -245,6 +296,16 @@ def to_dense(m: MPS) -> Tensor:
     right = right.reshape(mid, -1, ring).transpose(2, 0, 1).reshape(ring * mid, -1)
     wires = [WireSpec(f"s{k}", d, UPPER) for k, d in enumerate(m.phys_dims)]
     return _adopt(left @ right, wires)
+
+
+def _left_chain(cores: Sequence[np.ndarray], ring: int = 1) -> np.ndarray:
+    """The cores contracted left to right as a matrix chain, with the ring
+    bond at the left end open: rows (ring bond, sites but the last),
+    columns (last site, right bond)."""
+    left = np.eye(ring, dtype=complex)
+    for c in cores:
+        left = left.reshape(-1, c.shape[0]) @ c.reshape(c.shape[0], -1)
+    return left
 
 
 def inner(a: MPS, b: MPS) -> complex:

@@ -119,7 +119,7 @@ class Tensor:
         return complex(self.data)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
+        return _norm(self.data)
 
     def relabeled(self, mapping: dict[str, str]) -> "Tensor":
         wires = [
@@ -137,6 +137,32 @@ class Tensor:
             f"{w.label}:{w.dim}{'^' if w.flavor is UPPER else '_'}" for w in self.wires
         )
         return f"Tensor({parts})"
+
+
+# a 2-norm outside this range may have lost bits to an underflowing or
+# overflowing sum of squares, so it is taken again on a rescaled array
+NORM_RANGE = (2.0**-500, 2.0**500)
+
+
+def _norm(data: np.ndarray) -> float:
+    """2-norm of ``data``.  Outside ``NORM_RANGE`` it is 2^e norm(data / 2^e),
+    with 2^e the power of two of the largest |entry|, as LAPACK's drivers
+    scale."""
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(data))
+    if NORM_RANGE[0] <= nrm <= NORM_RANGE[1]:
+        return nrm
+    big = float(np.max(np.abs(data), initial=0.0))
+    if big == 0 or not math.isfinite(big):
+        return nrm
+    e = math.frexp(big)[1]
+    return math.ldexp(float(np.linalg.norm(_times_pow2(data, -e))), e)
+
+
+def _times_pow2(a: np.ndarray, e: int) -> np.ndarray:
+    """``a * 2**e``, exact wherever the result is a normal float; in two
+    factors, since ``2.0**e`` alone overflows for |e| > 1023."""
+    return a * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)
 
 
 def _adopt(fresh: np.ndarray, wires: Sequence[WireSpec]) -> Tensor:

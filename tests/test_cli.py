@@ -289,6 +289,16 @@ def test_mps_flags_mutually_exclusive(tmp_path, capsys):
     assert main(["mps", f, "--cutoff", "0.1", "--max-bond", "2"]) == 2
 
 
+@pytest.mark.parametrize("bond", ["0", "-3", "two"])
+def test_mps_max_bond_below_one_is_a_usage_error_exit_2(tmp_path, capsys, bond):
+    # a max bond of 0 reached the library's DegenerateTrimError, exit 3
+    f = state_file(tmp_path, "s.txt", [1, 0, 0, 1], [2, 2])
+    assert main(["mps", f, f"--max-bond={bond}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and f"expected a positive integer, got '{bond}'" in captured.err
+
+
 # -- invariant ----------------------------------------------------------
 
 
@@ -345,6 +355,24 @@ def test_mps_unnormalized_state_reports_fractions_of_its_norm(tmp_path, capsys):
     machine = json.loads(capsys.readouterr().out)
     assert machine["discarded_weight_cut_1"] == pytest.approx(0.5)
     assert machine["fidelity_bound"] == pytest.approx(0.5) and machine["fidelity"] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("amp", ["1e-160", "1e-320"])
+def test_tiny_bell_state_is_factored_and_measured(tmp_path, capsys, amp):
+    # squares of the amplitudes underflow: the fidelity read 0.0 and the
+    # concurrence 1.00001113294126 at 1e-160, and 1e-320 was a zero state
+    f = write(tmp_path, "bell.txt", f"dims 2 2\n{amp} 0\n0 0\n0 0\n{amp} 0\n")
+    assert main(["mps", f, "--json"]) == 0
+    machine = json.loads(capsys.readouterr().out)
+    assert machine["fidelity"] == pytest.approx(1.0, rel=0, abs=1e-12) and machine["fidelity_bound"] == 1.0
+    assert main(["mps", f, "--max-bond", "1", "--json"]) == 0
+    machine = json.loads(capsys.readouterr().out)
+    assert machine["discarded_weight_cut_1"] == pytest.approx(0.5, rel=0, abs=1e-12)
+    assert machine["fidelity"] == pytest.approx(0.5, rel=0, abs=1e-12)
+    assert main(["invariant", f, "--which", "concurrence", "--json"]) == 0
+    machine = json.loads(capsys.readouterr().out)
+    assert machine["concurrence"] == pytest.approx(1.0, rel=0, abs=1e-12)
+    assert machine["input_norm"] == pytest.approx(math.sqrt(2) * float(amp), rel=1e-3 if amp == "1e-320" else 1e-14)
 
 
 def test_mps_zero_state_exit_2(tmp_path, capsys):

@@ -418,6 +418,76 @@ def test_reports_do_not_depend_on_the_norm_of_the_input(scale):
             assert big_rep.fidelity == pytest.approx(rep.fidelity, rel=1e-9)
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e-300, 1e200])
+def test_states_far_from_unit_norm_are_swept_scaled(scale):
+    # squares of 1e-160 amplitudes underflow: a Bell state got fidelity 0.0
+    bell = tn.ket(np.array([scale, 0, 0, scale], dtype=complex), dims=[2, 2])
+    m, rep = tn.mps_from_dense(bell)
+    assert rep.fidelity == pytest.approx(1.0, rel=0, abs=1e-12) and rep.fidelity_bound == 1.0
+    assert np.allclose(tn.to_dense(m).data, bell.data, rtol=0, atol=1e-14 * scale)
+    state = random_state(7)
+    big = state * scale
+    m, _ = tn.mps_from_dense(big)
+    assert np.allclose(tn.to_dense(m).data, big.data, rtol=0, atol=1e-12 * scale)
+    for policy, scaled in [(None, None), (tn.TrimPolicy.max_rank(3), tn.TrimPolicy.max_rank(3)),
+                           (tn.TrimPolicy.cutoff(0.05), tn.TrimPolicy.cutoff(0.05 * scale)),
+                           (tn.TrimPolicy.cutoff(0.1, relative=True), tn.TrimPolicy.cutoff(0.1, relative=True))]:
+        _, rep = tn.mps_from_dense(state, policy)
+        _, big_rep = tn.mps_from_dense(big, scaled)
+        assert big_rep.bond_dims == rep.bond_dims and big_rep.dropped_counts == rep.dropped_counts
+        assert np.allclose(big_rep.discarded_weights, rep.discarded_weights, rtol=1e-9, atol=1e-12)
+        assert big_rep.fidelity_bound == pytest.approx(rep.fidelity_bound, rel=1e-9)
+        assert big_rep.fidelity == pytest.approx(rep.fidelity, rel=1e-9)
+
+
+def test_states_near_unit_norm_are_swept_unscaled(monkeypatch):
+    state = random_state(6)
+    m, _ = tn.mps_from_dense(state)
+    with monkeypatch.context() as patched:
+        patched.setattr(mpsmod, "_times_pow2", lambda *args: pytest.fail("scaled a state inside SWEEP_RANGE"))
+        same, _ = tn.mps_from_dense(state)
+        for scale in mpsmod.SWEEP_RANGE:  # the fidelity's fourth power of the norm stays a normal float
+            _, rep = tn.mps_from_dense(state * scale)
+            assert rep.fidelity == pytest.approx(1.0, rel=0, abs=1e-12)
+    assert all(np.array_equal(a, b) for a, b in zip(m.cores, same.cores))
+
+
+# -- the untrimmed prefix of a max-rank sweep ----------------------------
+
+
+def test_the_untrimmed_prefix_reduces_the_state_once(monkeypatch):
+    sizes = []
+    r_factor = mpsmod._r_factor
+
+    def recorded(a):
+        sizes.append(a.size)
+        return r_factor(a)
+
+    monkeypatch.setattr(mpsmod, "_r_factor", recorded)
+    for n, chi in ((12, 8), (13, 32)):
+        sizes.clear()
+        tn.mps_from_dense(random_state(n), tn.TrimPolicy.max_rank(chi))
+        assert sizes.count(2**n) == 1 and max(sizes) == 2**n
+
+
+def test_first_trim_finds_the_first_wide_cut_a_max_rank_can_trim():
+    qutrits, mixed = (3,) * 7, (2, 3, 2, 3, 2, 3, 2)  # rows 3, 9, 27, 81, ...; 2, 6, 12, 36, 72, ...
+    assert [mpsmod._first_trim(qutrits, tn.TrimPolicy.max_rank(chi)) for chi in (1, 2, 3, 5, 24, 50, 3**7)] == \
+        [None, None, 1, 1, 2, None, None]  # cut 0 has nothing before it; 81 x 27 at chi = 50 is tall
+    assert [mpsmod._first_trim(mixed, tn.TrimPolicy.max_rank(chi)) for chi in (2, 3, 5, 8, 24, 432)] == \
+        [1, 1, 1, 2, None, None]  # 36 x 12 at chi = 24 is tall
+    for policy in (None, tn.TrimPolicy.cutoff(0.1), tn.TrimPolicy.cutoff(0.1, relative=True)):
+        assert mpsmod._first_trim((2,) * 10, policy) is None
+
+
+def test_prefix_sweep_matches_the_reference_sweep_on_qudits(monkeypatch):
+    for dims, chis in (((3,) * 7, (2, 3, 5, 24, 50, 3**7)), ((2, 3, 2, 3, 2, 3, 2), (2, 3, 5, 8, 24, 432))):
+        v = rng.normal(size=math.prod(dims)) + 1j * rng.normal(size=math.prod(dims))
+        state = tn.ket(v / np.linalg.norm(v), dims=list(dims))
+        for chi in chis:
+            assert_same_reports(lambda: tn.mps_from_dense(state, tn.TrimPolicy.max_rank(chi)), monkeypatch)
+
+
 # -- the blocked R-only QR of wide cuts ---------------------------------
 
 

@@ -120,6 +120,16 @@ def test_value_operations_hold_one_array():
     assert (tn.scalar(3) * 2).item() == 6 and tn.conjugate(tn.scalar(1j)).item() == -1j
 
 
+def test_norm_of_tiny_and_huge_tensors():
+    # the sum of squares underflows or overflows: 1e-160 gave 1.4142057e-160
+    for amp, rel in ((1e-160, 1e-15), (1e-300, 1e-15), (1e200, 1e-15), (1e300, 1e-15), (5e-324, 0.5)):
+        t = tn.ket(np.array([amp, 0, 0, 1j * amp]), dims=[2, 2])
+        assert t.norm() == pytest.approx(np.sqrt(2) * amp, rel=rel)
+    unit = tn.ket(rng.normal(size=8), dims=[2, 2, 2])
+    assert unit.norm() == np.linalg.norm(unit.data)
+    assert tn.ket(np.zeros(4), dims=[2, 2]).norm() == 0.0
+
+
 def test_flat_data_is_reshaped_row_major():
     t = tn.Tensor([1, 2, 3, 4], [tn.WireSpec("a", 2, tn.UPPER), tn.WireSpec("b", 2, tn.UPPER)])
     assert t.data[0, 1] == 2
