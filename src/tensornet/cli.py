@@ -31,7 +31,7 @@ from .errors import (
     TensorError,
 )
 from .fileio import read_amplitudes
-from .tensor import _adopt, _times_pow2
+from .tensor import Tensor, _unit
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -147,13 +147,12 @@ def cmd_mps(args) -> int:
 
 def cmd_invariant(args) -> int:
     state = read_amplitudes(args.file)
-    nrm = state.norm()
-    if nrm == 0:
-        raise ShapeError("zero state has no invariants")
-    # scaled by its power of two first: 1 / nrm of a subnormal nrm overflows
+    # scaled by a power of two first: 1 / nrm of a subnormal nrm overflows
     # or has lost bits
-    state = _adopt(_times_pow2(state.data, -math.frexp(nrm)[1]), state.wires)
-    state = state * (1.0 / state.norm())
+    unit, size, e = _unit(state.data)
+    if size == 0:
+        raise ShapeError("zero state has no invariants")
+    state = Tensor(unit, state.wires) * (1.0 / size)
     if args.which == "concurrence":
         value = network.concurrence(state)
         report = {"concurrence": _num(value)}
@@ -163,7 +162,7 @@ def cmd_invariant(args) -> int:
     else:
         value = network.kempe(state)
         report = {"kempe_real": _num(value.real), "kempe_imag": _num(value.imag)}
-    report["input_norm"] = _num(nrm)
+    report["input_norm"] = _num(math.ldexp(size, e))
     _emit(report, args.json)
     return EXIT_OK
 

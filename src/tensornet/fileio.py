@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .tensor import UPPER, Tensor, WireSpec
+from .tensor import UPPER, Tensor, WireSpec, _norm
 
 
 def parse_amplitudes(text: str) -> Tensor:
@@ -52,9 +52,8 @@ def parse_amplitudes(text: str) -> Tensor:
     if not np.isfinite(amps).all():  # name its line: the non-empty lines are the header, then the amplitudes
         no = [k for k, line in enumerate(lines, start=1) if line.strip()][1 + np.isfinite(amps).argmin()]
         raise ParseError(no, f"non-finite amplitude {lines[no - 1].strip()!r}")
-    with np.errstate(over="ignore"):
-        if not math.isfinite(np.linalg.norm(amps)):
-            raise ParseError(len(lines), "amplitudes too large: their norm overflows")
+    if not math.isfinite(_norm(amps)):
+        raise ParseError(len(lines), "amplitudes too large: their norm overflows")
     wires = [WireSpec(f"s{k}", d, UPPER) for k, d in enumerate(dims)]
     return Tensor(amps, wires)
 

@@ -14,7 +14,11 @@ A max-rank chi keeps every singular value of each cut before the first
 with more than chi rows; when that cut is wide, the state is reduced to its
 R factor once, the cuts up to it are swept on R, and one product with the
 chain of their cores gives the carry, so no earlier cut touches the state.
-A state whose norm is far from 1 is swept divided by a power of two.
+Both sweeps scale their input by the one rule of ``tensor._unit``: a
+state whose norm is outside ``tensor.NORM_RANGE`` is swept divided by a
+power of two (for ``compress``, the one core of its right-canonical form
+that carries the norm), and each fidelity divides the overlap by both
+norms before it squares.
 Densifying contracts the left and the right half of the chain as two
 matrix chains and joins them with one matrix product, which also traces
 the ring bonds of a periodic chain.
@@ -35,15 +39,12 @@ from . import catalog
 from .decomp import TrimPolicy, renyi_entropy, schmidt_rank, svd_matrix
 from .errors import ShapeError, SizeLimitError
 from .network import from_terms
-from .tensor import UPPER, Tensor, WireSpec, _adopt, _norm, _times_pow2, raise_wire
+from .tensor import UPPER, Tensor, WireSpec, _adopt, _times_pow2, _unit, raise_wire
 
 OPEN = "open"
 PERIODIC = "periodic"
 
 DENSE_GUARD = 2**20  # refuse to densify anything larger than this
-# the fidelity squares an overlap of order ||psi||^2, so a state whose norm
-# is outside this range (the square root of tensor.NORM_RANGE) is swept scaled
-SWEEP_RANGE = (2.0**-250, 2.0**250)
 # elements per row block of the TSQR of a wide cut; a cut of at most this
 # many elements takes one direct QR (see CHANGES.md for the timing table)
 QR_BLOCK = 2**15
@@ -109,37 +110,47 @@ def mps_from_dense(state: Tensor, policy: TrimPolicy | None = None) -> tuple[MPS
 
     ``policy=None`` keeps every singular value (exact factorization);
     otherwise each cut is trimmed and the final state is renormalized.
-    The fidelity is |<m|psi>|^2 / (||m||^2 ||psi||^2) either way, and each
-    discarded weight is a fraction of ||psi||^2.  A state whose norm lies
-    outside ``SWEEP_RANGE`` is swept divided by 2^e, the power of two of its
-    norm (an exact scaling, with an absolute cutoff scaled alike), so that
-    no power of the norm below underflows or overflows; an exact factorization then gets its
+    The fidelity is (|<m|psi>| / (||m|| ||psi||))^2 either way, and each
+    discarded weight is a fraction of ||psi||^2.  The state is swept as
+    :func:`_unit_sweep` scales it; an exact factorization then gets its
     last core multiplied back by 2^e.
     """
     if any(w.flavor is not UPPER for w in state.wires):
         raise ShapeError("mps_from_dense expects a ket (all wires UPPER)")
     dims = [w.dim for w in state.wires]
     _check_dense(dims)  # the fidelity below densifies the result
-    size = _norm(state.data)
+    m, rep, e = _unit_sweep(state.data.reshape(1, -1), dims, policy, None,
+                            lambda m, unit, e: np.vdot(to_dense(m).data, unit))
+    if policy is None and e:
+        m.cores[-1] = _times_pow2(m.cores[-1], e)
+    return m, rep
+
+
+def _unit_sweep(block: np.ndarray, dims: Sequence[int], policy: TrimPolicy | None,
+                tail: Sequence[np.ndarray] | None, overlap) -> tuple[MPS, CompressionReport, int]:
+    """:func:`_trim_sweep` of ``block / 2^e`` as ``tensor._unit`` scales
+    it, with an absolute cutoff divided by 2^e alike, so that no power of
+    the norm below underflows or overflows.  A zero or non-finite norm is
+    refused before any SVD.  The cores are renormalized unless ``policy``
+    is None, and the fidelity is (|overlap(m, block / 2^e, e)| / (||m||
+    ||block / 2^e||))^2, ``overlap`` giving the overlap of the result with
+    the scaled input.  Returns the MPS, its report and e.
+    """
+    unit, size, e = _unit(block)
     if size == 0:
-        raise ShapeError("zero-norm state: its squared norm is 0, so the factorization has no fidelity")
-    e = 0 if SWEEP_RANGE[0] <= size <= SWEEP_RANGE[1] else math.frexp(size)[1]
-    if e:
-        state = _adopt(_times_pow2(state.data, -e), state.wires)
-        size = state.norm()  # not size / 2^e: a subnormal size has lost bits
-        if policy is not None and policy.xi is not None and not policy.relative:
-            policy = TrimPolicy.cutoff(math.ldexp(policy.xi, -e))
-    norm2 = size**2
-    cores, weights, dropped = _trim_sweep(state.data.reshape(1, -1), dims, policy)
+        raise ShapeError("zero-norm state: its squared norm is 0, so it has no fidelity")
+    if not math.isfinite(size):
+        raise ShapeError(f"state norm is {size}: not a finite float")
+    if e and policy is not None and policy.xi is not None and not policy.relative:
+        policy = TrimPolicy.cutoff(math.ldexp(policy.xi, -e))
+    cores, weights, dropped = _trim_sweep(unit, dims, policy, tail)
     m = MPS(cores)
     nrm = norm(m)
     if policy is not None and nrm > 0:  # renormalize: ||m|| is then 1
         cores[-1] = cores[-1] / nrm
         nrm = 1.0
-    fid = abs(inner_dense(m, state)) ** 2 / norm2 / nrm**2
-    if policy is None and e:
-        cores[-1] = _times_pow2(cores[-1], e)
-    return m, _report(m, policy, weights, dropped, norm2, fid)
+    fid = (abs(overlap(m, unit, e)) / (nrm * size)) ** 2
+    return m, _report(m, policy, weights, dropped, size**2, fid), e
 
 
 def _trim_sweep(block: np.ndarray, dims: Sequence[int], policy: TrimPolicy | None,
@@ -328,11 +339,6 @@ def inner(a: MPS, b: MPS) -> complex:
     return complex(np.einsum("abab->", env))
 
 
-def inner_dense(m: MPS, state: Tensor) -> complex:
-    """<mps|dense state> (helper for compression reports)."""
-    return complex(np.vdot(to_dense(m).data, state.data))
-
-
 def norm(m: MPS) -> float:
     return math.sqrt(max(inner(m, m).real, 0.0))
 
@@ -432,39 +438,33 @@ def schmidt_values(m: MPS, cut: int) -> np.ndarray:
 def bond_entropy(m: MPS, cut: int, q: float = 1.0) -> float:
     """Renyi-q entanglement entropy across the given cut (natural log)."""
     s = schmidt_values(m, cut)
-    p = s**2
-    total = p.sum()
-    if total <= 0:
+    if not s[0] > 0:  # the largest, by which they are divided before they are squared
         raise ShapeError("zero-norm state has no entanglement entropy")
-    return renyi_entropy(p / total, q)
+    p = (s / s[0]) ** 2
+    return renyi_entropy(p / p.sum(), q)
 
 
 def compress(m: MPS, policy: TrimPolicy) -> tuple[MPS, CompressionReport]:
     """Sweep of SVD + trim across every bond of an open-boundary MPS.
 
-    The result is renormalized; the report carries per-cut discarded
-    weights as fractions of the input's squared norm, the quadratic
-    fidelity lower bound, and the actual fidelity against the input state.
+    The MPS is first right-canonicalized, so each later SVD sees true
+    Schmidt values and its first core alone carries the norm: that core
+    is the block that :func:`_unit_sweep` scales.  The result is
+    renormalized; the report carries per-cut discarded weights as
+    fractions of the input's squared norm, the quadratic fidelity lower
+    bound, and the actual fidelity against the input cores, their overlap
+    with the result divided by 2^e.
     """
     if m.boundary != OPEN:
         raise ShapeError("compress requires an open-boundary MPS")
-    norm2 = inner(m, m).real
-    if norm2 <= 0:
-        raise ShapeError("zero-norm state: its squared norm is 0, so the compression has no fidelity")
-    n = len(m)
     cores = [c.copy() for c in m.cores]
-    # right-canonicalize so each later SVD sees true Schmidt values
-    for k in range(n - 1, 0, -1):
-        l, p, r = cores[k].shape
-        mk = cores[k].reshape(l, p * r)
-        q_, rr = np.linalg.qr(mk.conj().T)
-        cores[k] = q_.conj().T.reshape(-1, p, r)
-        cores[k - 1] = np.tensordot(cores[k - 1], rr.conj().T, axes=(2, 0))
-    cores, weights, dropped = _trim_sweep(cores[0], m.phys_dims, policy, tail=cores[1:])
-    out = MPS(cores)
-    nrm = norm(out)
-    if nrm > 0:
-        cores[-1] = cores[-1] / nrm
-        out = MPS(cores)
-    fid = abs(inner(m, out)) ** 2 / norm2
-    return out, _report(out, policy, weights, dropped, norm2, fid)
+    with np.errstate(over="ignore", invalid="ignore"):  # a norm past the float range is refused below
+        for k in range(len(m) - 1, 0, -1):
+            l, p, r = cores[k].shape
+            mk = cores[k].reshape(l, p * r)
+            q_, rr = np.linalg.qr(mk.conj().T)
+            cores[k] = q_.conj().T.reshape(-1, p, r)
+            cores[k - 1] = np.tensordot(cores[k - 1], rr.conj().T, axes=(2, 0))
+    out, rep, _ = _unit_sweep(cores[0], m.phys_dims, policy, cores[1:],
+                              lambda out, unit, e: math.ldexp(abs(inner(m, out)), -e))
+    return out, rep

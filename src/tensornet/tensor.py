@@ -145,18 +145,32 @@ NORM_RANGE = (2.0**-500, 2.0**500)
 
 
 def _norm(data: np.ndarray) -> float:
-    """2-norm of ``data``.  Outside ``NORM_RANGE`` it is 2^e norm(data / 2^e),
-    with 2^e the power of two of the largest |entry|, as LAPACK's drivers
-    scale."""
+    """2-norm of ``data``, inf past the float range (see :func:`_unit`)."""
+    _, size, e = _unit(data)
+    return math.ldexp(size, e)
+
+
+def _unit(data: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """``(data / 2^e, its 2-norm, e)``, the one rule by which a state far
+    from unit norm is scaled.  e is 0 when the norm of ``data`` is inside
+    ``NORM_RANGE``; otherwise it is the power of two of the largest |entry|,
+    as LAPACK's drivers scale, so that no sum of squares underflows or
+    overflows.  A zero, non-finite or overflowing norm (2^e times the
+    scaled norm past the float range) comes back as 0, NaN or inf with
+    e = 0 and ``data`` unscaled."""
     with np.errstate(over="ignore"):
         nrm = float(np.linalg.norm(data))
-    if NORM_RANGE[0] <= nrm <= NORM_RANGE[1]:
-        return nrm
-    big = float(np.max(np.abs(data), initial=0.0))
+        if NORM_RANGE[0] <= nrm <= NORM_RANGE[1]:
+            return data, nrm, 0
+        big = float(np.max(np.abs(data), initial=0.0))
     if big == 0 or not math.isfinite(big):
-        return nrm
+        return data, nrm, 0
     e = math.frexp(big)[1]
-    return math.ldexp(float(np.linalg.norm(_times_pow2(data, -e))), e)
+    unit = _times_pow2(data, -e)
+    size = float(np.linalg.norm(unit))
+    if e + math.frexp(size)[1] > 1024:  # 2^e size is not a float
+        return data, math.inf, 0
+    return unit, size, e
 
 
 def _times_pow2(a: np.ndarray, e: int) -> np.ndarray:

@@ -72,7 +72,7 @@ def test_amplitude_round_trip(tmp_path):
         "dims 2\nnan 0\n0 0\n",  # not a number
         "dims 2\n1 0\n0 -inf\n",  # infinite
         "dims 2\n\n1e400 0\n0 0\n",  # past the float range
-        "dims 2 2 2\n1e308 0\n0 0\n0 0\n0 0\n0 0\n0 0\n0 0\n1e308 0\n",  # each finite, the norm not
+        "dims 2 2\n1.5e308 0\n1.5e308 0\n1.5e308 0\n1.5e308 0\n",  # each finite, the norm (3e308) not
     ],
 )
 def test_amplitude_parse_errors(text):
@@ -83,7 +83,7 @@ def test_amplitude_parse_errors(text):
 @pytest.mark.parametrize("text, line", [
     ("dims 2\nnan 0\n0 0\n", 2),
     ("dims 2\n\n1 0\n\n0 inf\n", 5),
-    ("dims 2\n1e200 0\n1e200 0\n", 3),
+    ("dims 2\n1.5e308 0\n1.5e308 0\n", 3),
 ])
 def test_non_finite_amplitudes_are_refused_at_their_line(text, line):
     with pytest.raises(tn.ParseError) as err:
@@ -329,14 +329,31 @@ def test_invariant_tangle_ghz(tmp_path, capsys):
 
 
 def test_overflowing_ghz_is_refused_exit_2(tmp_path, capsys):
-    # each amplitude is finite, but the norm overflows: the invariants came
-    # out 0.0 (true values 0.25 and 1.0) and the fidelity NaN, with exit 0
-    f = write(tmp_path, "ghz.txt", "dims 2 2 2\n1e308 0\n" + "0 0\n" * 6 + "1e308 0\n")
+    # each amplitude is finite, but the norm (2.1e308) overflows: at 1e308
+    # the invariants came out 0.0 (true values 0.25 and 1.0) and the
+    # fidelity NaN, with exit 0
+    f = write(tmp_path, "ghz.txt", "dims 2 2 2\n1.5e308 0\n" + "0 0\n" * 6 + "1.5e308 0\n")
     for argv in (["invariant", f, "--which", "kempe"], ["invariant", f, "--which", "tangle"], ["mps", f]):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{f}:9: amplitudes too large" in captured.err
+
+
+def test_huge_ghz_with_a_finite_norm_is_measured(tmp_path, capsys):
+    # norm 1.4e308: the file was refused, its sum of squares overflowing
+    f = write(tmp_path, "ghz.txt", "dims 2 2 2\n1e308 0\n" + "0 0\n" * 6 + "1e308 0\n")
+    assert main(["invariant", f, "--which", "tangle", "--json"]) == 0
+    machine = json.loads(capsys.readouterr().out)
+    assert machine["tangle"] == pytest.approx(1.0, rel=0, abs=1e-12)
+    assert machine["input_norm"] == pytest.approx(math.sqrt(2) * 1e308, rel=1e-14)
+    assert main(["invariant", f, "--which", "kempe", "--json"]) == 0
+    machine = json.loads(capsys.readouterr().out)
+    assert machine["kempe_real"] == pytest.approx(0.25, rel=0, abs=1e-12)
+    assert machine["kempe_imag"] == pytest.approx(0.0, rel=0, abs=1e-12)
+    assert main(["mps", f, "--json"]) == 0
+    machine = json.loads(capsys.readouterr().out)
+    assert machine["fidelity"] == pytest.approx(1.0, rel=0, abs=1e-12) and machine["fidelity_bound"] == 1.0
 
 
 def test_invariant_zero_state_exit_2(tmp_path, capsys):
@@ -373,6 +390,22 @@ def test_tiny_bell_state_is_factored_and_measured(tmp_path, capsys, amp):
     machine = json.loads(capsys.readouterr().out)
     assert machine["concurrence"] == pytest.approx(1.0, rel=0, abs=1e-12)
     assert machine["input_norm"] == pytest.approx(math.sqrt(2) * float(amp), rel=1e-3 if amp == "1e-320" else 1e-14)
+
+
+@pytest.mark.parametrize("amp", ["1e-300", "1e-200", "1e200"])
+def test_bell_state_far_from_unit_norm_has_entropy_ln2(tmp_path, capsys, amp):
+    # the squared Schmidt values underflowed or overflowed: at 1e-200 the
+    # entropy was refused as a zero-norm state, at 1e200 it read -0.0 (q=1)
+    # and inf (q=2); and a 1e200 file was refused, its norm overflowing
+    f = write(tmp_path, "bell.txt", f"dims 2 2\n{amp} 0\n0 0\n0 0\n{amp} 0\n")
+    for q in ("0", "1", "2"):
+        assert main(["mps", f, "--entropy", q, "--json"]) == 0
+        machine = json.loads(capsys.readouterr().out)
+        assert machine["entropy_cut_1"] == pytest.approx(math.log(2), rel=0, abs=1e-12)
+        assert machine["fidelity"] == pytest.approx(1.0, rel=0, abs=1e-12)
+    assert main(["invariant", f, "--which", "concurrence", "--json"]) == 0
+    machine = json.loads(capsys.readouterr().out)
+    assert machine["concurrence"] == pytest.approx(1.0, rel=0, abs=1e-12)
 
 
 def test_mps_zero_state_exit_2(tmp_path, capsys):

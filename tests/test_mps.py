@@ -9,6 +9,7 @@ import pytest
 
 import tensornet as tn
 from tensornet import mps as mpsmod
+from tensornet import tensor as tensormod
 from tensornet.decomp import RANK_TOL, svd_matrix
 
 rng = np.random.default_rng(99)
@@ -204,6 +205,15 @@ def test_bond_entropy_ghz():
         tn.bond_entropy(zero, 1)
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200])
+def test_bond_entropy_does_not_depend_on_the_norm_of_the_state(scale):
+    # squared Schmidt values underflowed (1e-200 was refused as a zero-norm
+    # state) or overflowed (-0.0 for q=1 and inf for q=2 at 1e200)
+    bell, _ = tn.mps_from_dense(tn.ket(np.array([scale, 0, 0, scale], dtype=complex), dims=[2, 2]))
+    for q in (0, 1, 2):
+        assert tn.bond_entropy(bell, 1, q) == pytest.approx(math.log(2), rel=0, abs=1e-12)
+
+
 def test_periodic_chains_and_bras_are_refused():
     ring = tn.ghz_mps(4, boundary=mpsmod.PERIODIC)
     with pytest.raises(tn.ShapeError, match="open-boundary"):
@@ -379,6 +389,21 @@ def test_zero_state_is_refused_before_the_sweep(monkeypatch):
         tn.compress(tn.MPS([np.zeros((1, 2, 1), dtype=complex) for _ in range(3)]), tn.TrimPolicy.max_rank(2))
 
 
+def test_states_past_the_float_range_are_refused_before_the_sweep(monkeypatch):
+    # the norm raised OverflowError, which the CLI reads as a numerical failure
+    def no_svd(*args, **kwargs):
+        raise AssertionError("swept a state past the float range")
+
+    monkeypatch.setattr(mpsmod, "svd_matrix", no_svd)
+    for amps in (np.full(4, 1.5e308), [np.nan, 0, 0, 1], [np.inf, 0, 0, 1]):
+        for policy in (None, tn.TrimPolicy.max_rank(1)):
+            with pytest.raises(tn.ShapeError, match="not a finite float"):
+                tn.mps_from_dense(tn.ket(amps, dims=[2, 2]), policy)
+    for core in (np.full((1, 2, 1), 1e200, dtype=complex), np.full((1, 2, 1), np.nan, dtype=complex)):
+        with pytest.raises(tn.ShapeError, match="not a finite float"):  # 1e200: the norm 2.8e600 overflows
+            tn.compress(tn.MPS([core] * 3), tn.TrimPolicy.max_rank(1))
+
+
 def test_unnormalized_state_reports_fractions_of_its_squared_norm():
     # 2|00> + 2|11>: squared norm 8, Schmidt values 2 and 2
     state = tn.ket(np.array([2, 0, 0, 2], dtype=complex), dims=[2, 2])
@@ -418,7 +443,7 @@ def test_reports_do_not_depend_on_the_norm_of_the_input(scale):
             assert big_rep.fidelity == pytest.approx(rep.fidelity, rel=1e-9)
 
 
-@pytest.mark.parametrize("scale", [1e-160, 1e-300, 1e200])
+@pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300, 1e200])
 def test_states_far_from_unit_norm_are_swept_scaled(scale):
     # squares of 1e-160 amplitudes underflow: a Bell state got fidelity 0.0
     bell = tn.ket(np.array([scale, 0, 0, scale], dtype=complex), dims=[2, 2])
@@ -429,24 +454,31 @@ def test_states_far_from_unit_norm_are_swept_scaled(scale):
     big = state * scale
     m, _ = tn.mps_from_dense(big)
     assert np.allclose(tn.to_dense(m).data, big.data, rtol=0, atol=1e-12 * scale)
+    exact = tn.mps_from_dense(state)[0]
+    # compress of a tiny MPS reported fidelity 0.5331 for 0.5337 at 1e-160,
+    # refused 1e-200 as a zero-norm state, and reported NaN at 1e200
+    big_mps = [m, tn.MPS([exact.cores[0] * scale, *exact.cores[1:]])]  # the scale in the last core, then the first
     for policy, scaled in [(None, None), (tn.TrimPolicy.max_rank(3), tn.TrimPolicy.max_rank(3)),
                            (tn.TrimPolicy.cutoff(0.05), tn.TrimPolicy.cutoff(0.05 * scale)),
                            (tn.TrimPolicy.cutoff(0.1, relative=True), tn.TrimPolicy.cutoff(0.1, relative=True))]:
-        _, rep = tn.mps_from_dense(state, policy)
-        _, big_rep = tn.mps_from_dense(big, scaled)
-        assert big_rep.bond_dims == rep.bond_dims and big_rep.dropped_counts == rep.dropped_counts
-        assert np.allclose(big_rep.discarded_weights, rep.discarded_weights, rtol=1e-9, atol=1e-12)
-        assert big_rep.fidelity_bound == pytest.approx(rep.fidelity_bound, rel=1e-9)
-        assert big_rep.fidelity == pytest.approx(rep.fidelity, rel=1e-9)
+        pairs = [(tn.mps_from_dense(state, policy)[1], tn.mps_from_dense(big, scaled)[1])]
+        if policy is not None:
+            pairs += [(tn.compress(exact, policy)[1], tn.compress(b, scaled)[1]) for b in big_mps]
+        for rep, big_rep in pairs:
+            assert big_rep.bond_dims == rep.bond_dims and big_rep.dropped_counts == rep.dropped_counts
+            assert np.allclose(big_rep.discarded_weights, rep.discarded_weights, rtol=1e-9, atol=1e-12)
+            assert big_rep.fidelity_bound == pytest.approx(rep.fidelity_bound, rel=1e-9)
+            assert big_rep.fidelity == pytest.approx(rep.fidelity, rel=1e-9)
 
 
 def test_states_near_unit_norm_are_swept_unscaled(monkeypatch):
     state = random_state(6)
     m, _ = tn.mps_from_dense(state)
     with monkeypatch.context() as patched:
-        patched.setattr(mpsmod, "_times_pow2", lambda *args: pytest.fail("scaled a state inside SWEEP_RANGE"))
+        for module in (mpsmod, tensormod):
+            patched.setattr(module, "_times_pow2", lambda *args: pytest.fail("scaled a state inside NORM_RANGE"))
         same, _ = tn.mps_from_dense(state)
-        for scale in mpsmod.SWEEP_RANGE:  # the fidelity's fourth power of the norm stays a normal float
+        for scale in tensormod.NORM_RANGE:  # the fidelity divides by the norm before it squares
             _, rep = tn.mps_from_dense(state * scale)
             assert rep.fidelity == pytest.approx(1.0, rel=0, abs=1e-12)
     assert all(np.array_equal(a, b) for a, b in zip(m.cores, same.cores))

@@ -128,6 +128,9 @@ def test_norm_of_tiny_and_huge_tensors():
     unit = tn.ket(rng.normal(size=8), dims=[2, 2, 2])
     assert unit.norm() == np.linalg.norm(unit.data)
     assert tn.ket(np.zeros(4), dims=[2, 2]).norm() == 0.0
+    # 1.6e308 is a float, 3e308 is not: past the float range math.ldexp raised OverflowError
+    assert tn.ket(np.full(4, 8e307)).norm() == pytest.approx(1.6e308, rel=1e-15)
+    assert tn.ket(np.full(4, 1.5e308)).norm() == np.inf
 
 
 def test_flat_data_is_reshaped_row_major():
