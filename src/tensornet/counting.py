@@ -6,14 +6,17 @@ A CNF formula becomes one clause tensor per clause (1 except 0 at the
 clause's falsifying assignment; a chain of order-3 pieces for clauses wider
 than 3) joined to one COPY tensor per variable, whose wire carries a bond to
 every clause wire that reads the variable; a graph becomes one order-3
-epsilon per node.  The COPY tensors and the <+| caps are spiders
+epsilon per node.  The COPY tensors are spiders
 (``TensorNetwork.add_spider``): the engine keeps each variable as one index
 shared by the clause tensors that read it, so a count plans and contracts
-the clause tensors only, every intermediate is indexed by distinct
-variables, and an unused variable is a scalar factor 2.  Counts are logged
-at DEBUG level on the ``tensornet`` logger with the network size (every
-node and bond, spiders included), the plan peak, the planning time and the
-contraction time.
+the clause tensors only and every intermediate is indexed by distinct
+variables.  In a count a read variable's spider has one wire and no <+|
+cap, because a spider with one leg per reader already sums over the
+variable; an unused variable keeps a <+| cap, a scalar factor 2.  The
+clause pieces and the cap are built once per process, the COPY tensors
+once per network.  Counts are logged at DEBUG level on the ``tensornet``
+logger with the network size (every node and bond, spiders included), the
+plan peak, the planning time and the contraction time.
 """
 
 from __future__ import annotations
@@ -186,56 +189,67 @@ def _clause_piece(js: tuple[int, ...], positive: tuple[bool, ...], flag_in: bool
     return Tensor(data, wires)
 
 
-def _formula_layer(net: TensorNetwork, f: CnfFormula, bra: bool) -> list[tuple[int, str]]:
+# Clause pieces, ket and bra, and the <+| cap.  Tensors are immutable, so
+# each is built once per process and shared by every network; keyed by its
+# builder's arguments and bra, the table grows with the widest clause seen,
+# not with the number of formulas.
+_SHARED: dict[tuple, Tensor] = {}
+
+
+def _shared(build, args: tuple, bra: bool) -> Tensor:
+    """``build(*args)``, replaced by its dagger if ``bra``, from the table."""
+    t = _SHARED.get((build, args, bra))
+    if t is None:
+        t = _SHARED[build, args, bra] = dagger(build(*args)) if bra else build(*args)
+    return t
+
+
+def _formula_layer(net: TensorNetwork, f: CnfFormula, bra: bool, legs: int = 2) -> list[tuple[int, str]]:
     """Add the clause-tensor network of f to ``net``.
 
     Every clause is one clause tensor, or for clauses wider than 3 a chain
     of order-3 pieces (see ``_clause_pieces``).  Every variable is one COPY
-    spider: ``copy_tensor(2, 0)`` if some clause reads it, else
-    ``copy_tensor(1, 0)``.  Its ``o0`` is the open state wire, and every
-    clause wire that reads the variable is bonded to its ``o1``; by spider
-    fusion that is one spider with a leg per reader.  The engine keeps the
-    spider as one index shared by its readers, so it plans and contracts
-    the clause tensors only.
+    spider.  With ``legs=2`` it is ``copy_tensor(2, 0)`` if some clause
+    reads it, else ``copy_tensor(1, 0)``: its ``o0`` is the open state
+    wire, and every clause wire that reads the variable is bonded to its
+    ``o1``.  With ``legs=1`` every variable is ``copy_tensor(1, 0)``, and
+    a read variable's only wire ``o0`` carries every read, so it is closed.
+    By spider fusion a spider wire with a bond per reader is one spider
+    with a leg per reader, and the engine keeps it as one index shared by
+    its readers, so it plans and contracts the clause tensors only.
 
-    Returns one open variable end per variable, in variable order (the
-    state wires of |f>).  With ``bra=True`` every tensor is replaced by its
-    dagger, producing <f|; bonds join wires by label, so the reversed wire
-    order does not matter.
+    Returns the open variable ends in variable order: every variable's
+    with ``legs=2`` (the state wires of |f>), the unused variables' with
+    ``legs=1``.  With ``bra=True`` every tensor is replaced by its dagger,
+    producing <f|; bonds join wires by label, so the reversed wire order
+    does not matter.
 
-    Tensors are immutable, so each distinct one (the two spiders, a clause
-    piece per sign pattern) is built once per call and the same instance
-    is added at every node that needs it.
+    The COPY tensors are built once per call, the clause pieces once per
+    process (``_shared``); the same instance is added at every node that
+    needs it.
     """
-    made: dict[tuple, Tensor] = {}  # (constructor, arguments) -> tensor
-
-    def tensor(build, *args) -> Tensor:
-        t = made.get((build, args))
-        if t is None:
-            t = made[build, args] = dagger(build(*args)) if bra else build(*args)
-        return t
-
     read = {abs(lit) for clause in f.clauses for lit in clause}
-    spiders = [net.add_spider(tensor(catalog.copy_tensor, 2 if v in read else 1, 0))
-               for v in range(1, f.num_vars + 1)]
+    orders = [legs if v in read else 1 for v in range(1, f.num_vars + 1)]
+    copies = {k: dagger(catalog.copy_tensor(k, 0)) if bra else catalog.copy_tensor(k, 0) for k in set(orders)}
+    spiders = [net.add_spider(copies[k]) for k in orders]
+    wire = f"o{legs - 1}"  # the spider wire that carries the reads
 
     shapes = {}  # signs of a clause -> its pieces as (tensor, ((variable position, wire label), ...))
     for clause in f.clauses:
         signs = tuple(lit > 0 for lit in clause)
         pieces = shapes.get(signs)
         if pieces is None:
-            pieces = shapes[signs] = [(tensor(_clause_piece, js, positive, flag_in, flag_out),
-                                       tuple((j, f"i{j}") for j in js))
-                                      for js, positive, flag_in, flag_out in _clause_pieces(clause)]
+            pieces = shapes[signs] = [(_shared(_clause_piece, args, bra), tuple((j, f"i{j}") for j in args[0]))
+                                      for args in _clause_pieces(clause)]
         prev = None
         for t, reads in pieces:
             cid = net.add(t)
             if prev is not None:
                 net.connect((prev, "s1"), (cid, "s0"))
             for j, label in reads:
-                net.connect((spiders[abs(clause[j]) - 1], "o1"), (cid, label))
+                net.connect((spiders[abs(clause[j]) - 1], wire), (cid, label))
             prev = cid
-    return [(nid, "o0") for nid in spiders]
+    return [(nid, "o0") for v, nid in enumerate(spiders, start=1) if legs == 2 or v not in read]
 
 
 def formula_state_network(f: CnfFormula) -> tuple[TensorNetwork, list[tuple[int, str]]]:
@@ -248,13 +262,15 @@ def formula_state_network(f: CnfFormula) -> tuple[TensorNetwork, list[tuple[int,
 def formula_to_network(f: CnfFormula) -> TensorNetwork:
     """Fully closed network whose contraction is sum_x f(x).
 
-    Every variable wire is capped with the unnormalized <+| = <0| + <1|,
-    which sums over all assignments; the cap is an order-1 spider.
+    Each variable that some clause reads is a one-leg COPY spider bonded
+    to every clause wire that reads it: by spider fusion that spider is
+    the sum over the variable, the <+| = <0| + <1| cap of |f>'s wire.  An
+    unused variable keeps its spider and <+| cap, a factor 2.
     """
-    net, ends = formula_state_network(f)
-    plus = Tensor([1, 1], [WireSpec("b", 2, LOWER)])
-    for end in ends:
-        net.connect(end, (net.add_spider(plus), "b"))
+    net = TensorNetwork()
+    plus = _shared(catalog.plus_ket, (), True)
+    for end in _formula_layer(net, f, bra=False, legs=1):
+        net.connect(end, (net.add_spider(plus), "o0"))
     return net
 
 

@@ -132,6 +132,8 @@ class TrimPolicy:
     def __post_init__(self):
         if (self.chi is None) == (self.xi is None):
             raise ValueError("exactly one of chi / xi must be set")
+        if self.xi is not None and not self.xi >= 0:  # also refuses NaN
+            raise ValueError(f"cutoff must be a number >= 0, got {self.xi}")
 
     @classmethod
     def max_rank(cls, chi: int) -> "TrimPolicy":
@@ -247,9 +249,12 @@ def von_neumann(probs) -> float:
 def renyi_entropy(probs, q: float) -> float:
     """Renyi entropy (1/(1-q)) ln sum p^q, natural log, with 0^0 = 0.
 
-    q = 1 dispatches to the von Neumann entropy; q = 0 gives ln(rank).
+    q = 1 dispatches to the von Neumann entropy; q = 0 gives ln(rank) and
+    q = inf the min-entropy -ln max p.  Other orders factor out the largest
+    p, so a large q neither overflows nor underflows to ln 0.  A NaN or
+    negative q raises ``ValueError``.
     """
-    if q < 0:
+    if not q >= 0:  # also refuses NaN
         raise ValueError(f"order q must be >= 0, got {q}")
     p = _check_probs(probs)
     if q == 1:
@@ -257,7 +262,12 @@ def renyi_entropy(probs, q: float) -> float:
     nz = p[p > 0]
     if q == 0:
         return float(np.log(nz.size))
-    return float(np.log(np.sum(nz**q)) / (1.0 - q))
+    top = nz.max()
+    if q == math.inf:
+        h = -np.log(top)
+    else:  # sum p^q = top^q sum (p/top)^q, where the sum is at least 1
+        h = q / (1.0 - q) * np.log(top) + np.log(np.sum((nz / top) ** q)) / (1.0 - q)
+    return float(h) + 0.0  # a product cut gives 0.0, not -0.0
 
 
 def schmidt_rank(coeffs) -> int:

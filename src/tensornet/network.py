@@ -404,8 +404,10 @@ class TensorNetwork:
             free_b = [n for n in nb if n not in shared]
             k = math.prod(dims[n] for n in summed)
             nbatch = math.prod(dims[n] for n in batch)
-            out = np.matmul(xa.transpose([na.index(n) for n in batch + free_a + summed]).reshape(nbatch, -1, k),
-                            xb.transpose([nb.index(n) for n in batch + summed + free_b]).reshape(nbatch, k, -1))
+            # rebinding drops each operand before the matmul, unless its layout is a view of it
+            xa = xa.transpose([na.index(n) for n in batch + free_a + summed]).reshape(nbatch, -1, k)
+            xb = xb.transpose([nb.index(n) for n in batch + summed + free_b]).reshape(nbatch, k, -1)
+            out = np.matmul(xa, xb)
             keep = min(a, b)
             names[keep] = batch + free_a + free_b
             arrays[keep] = out.reshape([dims[n] for n in names[keep]])

@@ -284,6 +284,36 @@ def test_mps_degenerate_cutoff_exit_3(tmp_path, capsys):
     assert main(["mps", f, "--cutoff", "1e6"]) == 3
 
 
+@pytest.mark.parametrize("xi", ["nan", "-1"])
+def test_mps_cutoff_nan_or_negative_is_an_input_error_exit_2(tmp_path, capsys, xi):
+    # nan exited 3 ("discards every singular value"), -1 was accepted
+    f = state_file(tmp_path, "s.txt", [1, 0, 0, 1], [2, 2])
+    assert main(["mps", f, f"--cutoff={xi}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: cutoff must be a number >= 0" in captured.err
+
+
+def test_mps_entropy_order_nan_is_an_input_error_exit_2(tmp_path, capsys):
+    # printed entropy_cut_1: nan with exit 0
+    f = state_file(tmp_path, "bell.txt", [1, 0, 0, 1], [2, 2])
+    assert main(["mps", f, "--entropy", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert "nan" not in captured.out
+    assert "error: order q must be >= 0, got nan" in captured.err
+
+
+@pytest.mark.parametrize("q", ["2", "1e308", "inf"])
+def test_mps_entropy_of_large_orders(tmp_path, capsys, q):
+    # a product cut printed -0.0 at q = 2; inf and 1e308 gave nan or inf
+    bell = state_file(tmp_path, "bell.txt", [1, 0, 0, 1], [2, 2])
+    product = state_file(tmp_path, "product.txt", [1, 0, 0, 0], [2, 2])
+    assert main(["mps", bell, "--entropy", q]) == 0
+    assert float(parse_human(capsys.readouterr().out)["entropy_cut_1"]) == pytest.approx(math.log(2), rel=1e-14)
+    assert main(["mps", product, "--entropy", q]) == 0
+    assert parse_human(capsys.readouterr().out)["entropy_cut_1"] == "0.0"
+
+
 def test_mps_flags_mutually_exclusive(tmp_path, capsys):
     f = state_file(tmp_path, "s.txt", [1, 0], [2])
     assert main(["mps", f, "--cutoff", "0.1", "--max-bond", "2"]) == 2

@@ -6,6 +6,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,6 +198,21 @@ def test_random_3sat_n30_m128_is_counted_within_the_limit(seed):
     assert tn.count_sat(f).count == boolean_norm_value(f)
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_merges_free_their_operands_before_the_matmul(seed):
+    # holding both operands next to their matmul layouts and the output
+    # traced 3.5x and 4.0x the plan peak's complex128 bytes
+    net = formula_to_network(random_3sat(30, 128, seed))
+    peak_bytes = 16 * net.greedy_plan().peak_size
+    tracemalloc.start()
+    try:
+        net.contract_all()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * peak_bytes, peak / peak_bytes
+
+
 def reference_formula_layer(net, f, bra):
     """``_formula_layer`` as it was before it took fewer Python steps, kept
     as the oracle for the networks it builds: the same nodes, tensor
@@ -274,7 +290,8 @@ def test_plan_peaks_equal_the_reference_chains_on_random_3sat(num_vars, num_clau
         f = random_3sat(num_vars, num_clauses, seed)
         net = formula_to_network(f)
         assert net.greedy_plan().peak_size == reference_formula_network(f).greedy_plan().peak_size
-        assert len(net.nodes) == 2 * num_vars + num_clauses
+        assert len(net.nodes) == num_vars + num_clauses  # every variable is read: no cap
+        assert len(net.bonds) == 3 * num_clauses
 
 
 def test_network_nodes_have_low_order():
@@ -284,10 +301,14 @@ def test_network_nodes_have_low_order():
 
 
 def test_equal_tensors_are_built_once_per_network():
-    # 2 COPY spiders, 8 sign patterns of a 3-clause, the <+| cap
+    # 1 COPY spider, 8 sign patterns of a 3-clause; every variable is read, so no cap
     net = formula_to_network(random_3sat(20, 85, 0))
-    assert len(net.nodes) == 20 + 85 + 20
-    assert len({id(t) for t in net.nodes.values()}) <= 11
+    assert len(net.nodes) == 20 + 85
+    assert len({id(t) for t in net.nodes.values()}) <= 9
+    # the clause pieces are the same instances in the next network
+    pieces = {id(t) for t in net.nodes.values() if t.data.size > 2}
+    again = formula_to_network(random_3sat(20, 85, 1))
+    assert {id(t) for t in again.nodes.values() if t.data.size > 2} <= pieces
 
 
 def test_wide_clause_is_a_chain_of_order_3_pieces():
@@ -337,6 +358,51 @@ def test_mixed_width_formulas_match_brute_force(seed):
     assert tn.count_sat(f).count == count
 
 
+def capped_reference_network(f):
+    """``formula_to_network`` as it was with ``<+|`` caps: the state network
+    of f with a ``<+|`` spider on every open variable end."""
+    net, ends = formula_state_network(f)
+    plus = tn.Tensor([1, 1], [tn.WireSpec("b", 2, tn.LOWER)])
+    for end in ends:
+        net.connect(end, (net.add_spider(plus), "b"))
+    return net
+
+
+CAPLESS_CASES = ([random_3sat(n, m, seed) for n, m in [(8, 16), (20, 85), (30, 128), (50, 100), (50, 213)] for seed in (1, 2)]
+                 + EDGE_FORMULAS + [mixed_width_formula(9, seed) for seed in range(6)]
+                 + [tn.CnfFormula(24, [tuple(v if v % 3 else -v for v in range(1, 25))]), tn.CnfFormula(40, [tuple(range(1, 41))])])
+
+
+@pytest.mark.parametrize("f", CAPLESS_CASES)
+def test_count_network_plans_and_contracts_as_the_capped_reference(f):
+    # one-leg spiders for read variables, caps on unused ones: the same plan,
+    # and the same bytes wherever the plan is small enough to contract here
+    net, expect = formula_to_network(f), capped_reference_network(f)
+    plan, ref = net.greedy_plan(), expect.greedy_plan()
+    assert plan.merges == ref.merges
+    assert plan.peak_size == ref.peak_size
+    if plan.peak_size <= 2**16:
+        assert net.contract_all().data.tobytes() == expect.contract_all().data.tobytes()
+    read = {abs(lit) for clause in f.clauses for lit in clause}
+    assert len(net.nodes) == len(expect.nodes) - len(read)
+    assert net.open_wires() == []
+
+
+def test_shared_tensor_table_is_bounded_by_the_clause_widths():
+    def build_all(seed):
+        r = random.Random(seed)
+        for width in (1, 2, 3, 4, 6):
+            f = tn.CnfFormula(8, [tuple(v if r.random() < 0.5 else -v for v in r.sample(range(1, 9), width))
+                                  for _ in range(200)])
+            formula_to_network(f)
+            boolean_norm_value(f)  # ket and bra
+
+    build_all(0)
+    size = len(tn.counting._SHARED)
+    build_all(1)
+    assert len(tn.counting._SHARED) == size
+
+
 def test_oversized_count_is_refused_before_contracting(monkeypatch):
     f = random_3sat(80, 340, 0)
     assert formula_to_network(f).greedy_plan().peak_size > 2**26
@@ -359,7 +425,7 @@ def test_count_logs_network_size_at_debug(caplog):
     tn.count_3_edge_colorings(THETA)
     lines = [r.getMessage() for r in caplog.records if r.name == "tensornet"]
     assert len(lines) == 2
-    assert lines[0].startswith("count_sat: 5 nodes, 4 bonds, plan peak 2^")
+    assert lines[0].startswith("count_sat: 3 nodes, 2 bonds, plan peak 2^")
     assert lines[1].startswith("count_3_edge_colorings: 2 nodes, 3 bonds, plan peak 2^")
     assert all(re.search(r", plan \d+\.\d{6} s, contract \d+\.\d{6} s$", line) for line in lines)
 

@@ -188,6 +188,31 @@ def test_entropy_input_validation():
         tn.renyi_entropy([1.0], -1)
 
 
+def test_renyi_order_nan_is_refused():
+    with pytest.raises(ValueError, match="got nan"):
+        tn.renyi_entropy([0.5, 0.5], float("nan"))
+
+
+@pytest.mark.parametrize("q", [0.5, 2, 5, 1e3, 1e308, math.inf])
+def test_renyi_large_orders_are_finite_and_approach_the_min_entropy(q):
+    # q = inf and 1e308 raised RuntimeWarnings and returned nan or inf
+    p = np.array([0.6, 0.3, 0.1])
+    h = tn.renyi_entropy(p, q)
+    if q == math.inf:
+        assert h == -math.log(0.6)
+    elif q < 100:
+        assert h == pytest.approx(math.log(np.sum(p**q)) / (1 - q), rel=1e-14)
+    else:  # sum p^q = 0.6^q (1 + 0.5^q + (1/6)^q), and 0.5^q is below the float resolution
+        assert h == pytest.approx(q * math.log(0.6) / (1 - q), rel=1e-14)
+    assert -math.log(0.6) <= h <= math.log(3)
+
+
+@pytest.mark.parametrize("q", [0, 0.5, 2, 5, 1e308, math.inf])
+def test_renyi_of_a_product_cut_is_positive_zero(q):
+    h = tn.renyi_entropy([1.0], q)
+    assert h == 0.0 and math.copysign(1.0, h) == 1.0
+
+
 def test_schmidt_rank_tolerance():
     assert tn.schmidt_rank([1.0, 1e-13, 0.0]) == 1
     assert tn.schmidt_rank([1.0, 1e-6]) == 2
