@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import counting, mps, network
-from .decomp import TrimPolicy
+from .decomp import TrimPolicy, _check_order
 from .errors import (
     DegenerateTrimError,
     NonIntegralError,
@@ -116,6 +116,8 @@ def cmd_color_count(args) -> int:
 
 
 def cmd_mps(args) -> int:
+    if args.entropy is not None:
+        _check_order(args.entropy)  # here too: a state without cuts computes no entropy
     state = read_amplitudes(args.file)
     policy = None
     if args.max_bond is not None:
@@ -139,8 +141,8 @@ def cmd_mps(args) -> int:
     for k, w in enumerate(rep.discarded_weights):
         report[f"discarded_weight_cut_{k + 1}"] = _num(w)
     if args.entropy is not None:
-        for cut in range(1, len(factored)):
-            report[f"entropy_cut_{cut}"] = _num(mps.bond_entropy(factored, cut, args.entropy))
+        for cut, s in enumerate(mps._schmidt_spectra(factored), start=1):
+            report[f"entropy_cut_{cut}"] = _num(mps._entropy(s, args.entropy))
     _emit(report, args.json)
     return EXIT_OK
 

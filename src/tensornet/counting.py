@@ -21,6 +21,7 @@ plan peak, the planning time and the contraction time.
 
 from __future__ import annotations
 
+import cmath
 import logging
 import math
 import operator
@@ -191,8 +192,9 @@ def _clause_piece(js: tuple[int, ...], positive: tuple[bool, ...], flag_in: bool
 
 # Clause pieces, ket and bra, and the <+| cap.  Tensors are immutable, so
 # each is built once per process and shared by every network; keyed by its
-# builder's arguments and bra, the table grows with the widest clause seen,
-# not with the number of formulas.
+# builder's arguments and bra.  A piece's wires are labelled by position
+# within the piece, so the table holds one entry per sign pattern of each
+# piece kind, however wide the clauses or many the formulas.
 _SHARED: dict[tuple, Tensor] = {}
 
 
@@ -225,8 +227,8 @@ def _formula_layer(net: TensorNetwork, f: CnfFormula, bra: bool, legs: int = 2) 
     does not matter.
 
     The COPY tensors are built once per call, the clause pieces once per
-    process (``_shared``); the same instance is added at every node that
-    needs it.
+    process (``_shared``), with wires ``i0, i1, ...`` by position within
+    the piece; the same instance is added at every node that needs it.
     """
     read = {abs(lit) for clause in f.clauses for lit in clause}
     orders = [legs if v in read else 1 for v in range(1, f.num_vars + 1)]
@@ -239,8 +241,9 @@ def _formula_layer(net: TensorNetwork, f: CnfFormula, bra: bool, legs: int = 2) 
         signs = tuple(lit > 0 for lit in clause)
         pieces = shapes.get(signs)
         if pieces is None:
-            pieces = shapes[signs] = [(_shared(_clause_piece, args, bra), tuple((j, f"i{j}") for j in args[0]))
-                                      for args in _clause_pieces(clause)]
+            pieces = shapes[signs] = [(_shared(_clause_piece, (tuple(range(len(js))), *rest), bra),
+                                       tuple((j, f"i{i}") for i, j in enumerate(js)))
+                                      for js, *rest in _clause_pieces(clause)]
         prev = None
         for t, reads in pieces:
             cid = net.add(t)
@@ -305,7 +308,10 @@ def _contract(net: TensorNetwork, what: str) -> complex:
 
 def _count(net: TensorNetwork, what: str) -> CountResult:
     raw = _contract(net, what)
-    if not abs(raw) < EXACT_LIMIT:  # also refuses NaN
+    if not cmath.isfinite(raw):
+        raise NonIntegralError(f"the count overflows the float range: contraction value {raw}, "
+                               "where complex128 counts are exact only below 2^53")
+    if not abs(raw) < EXACT_LIMIT:
         raise NonIntegralError(f"contraction value {raw} is not below 2^53, where complex128 counts are exact")
     result = CountResult.from_raw(raw)
     if not result.integral:
@@ -426,9 +432,9 @@ def coloring_network(g: Graph, node_orders: list[list[int]] | None = None) -> Te
     neighbor id.  The sign of individual terms, and hence the planar
     guarantee, depends on this order.
     """
-    deg = g.degrees()
-    if any(d != 3 for d in deg):
-        raise ShapeError(f"graph is not 3-regular: degrees {deg}")
+    for v, d in enumerate(g.degrees()):
+        if d != 3:
+            raise ShapeError(f"graph is not 3-regular: node {v} has degree {d}")
     orders = node_orders if node_orders is not None else _incidence_orders(g)
     eps = catalog.epsilon(3)
     terms = []

@@ -239,6 +239,11 @@ def _check_probs(probs) -> np.ndarray:
     return p
 
 
+def _check_order(q: float) -> None:
+    if not q >= 0:  # also refuses NaN
+        raise ValueError(f"order q must be >= 0, got {q}")
+
+
 def von_neumann(probs) -> float:
     """-sum p ln p with 0 ln 0 = 0 (natural log)."""
     p = _check_probs(probs)
@@ -254,8 +259,7 @@ def renyi_entropy(probs, q: float) -> float:
     p, so a large q neither overflows nor underflows to ln 0.  A NaN or
     negative q raises ``ValueError``.
     """
-    if not q >= 0:  # also refuses NaN
-        raise ValueError(f"order q must be >= 0, got {q}")
+    _check_order(q)
     p = _check_probs(probs)
     if q == 1:
         return von_neumann(p)

@@ -19,6 +19,11 @@ state whose norm is outside ``tensor.NORM_RANGE`` is swept divided by a
 power of two (for ``compress``, the one core of its right-canonical form
 that carries the norm), and each fidelity divides the overlap by both
 norms before it squares.
+One right-canonical sweep, a right-to-left QR sweep that keeps each cut's
+R^dagger, is behind both ``compress`` (which trims the right-canonical
+cores) and the Schmidt values: one left sweep of R-only QRs then gives
+every cut's values as the singular values of R_left R^dagger, so all n-1
+cuts take 2(n-1) QRs and one cut takes n.
 Densifying contracts the left and the right half of the chain as two
 matrix chains and joins them with one matrix product, which also traces
 the ring bonds of a periodic chain.
@@ -410,61 +415,80 @@ def aklt_chain(n: int) -> Tensor:
 # -- entropies and compression -----------------------------------------
 
 
+def _right_canonical(cores: Sequence[np.ndarray], stop: int = 1) -> tuple[list[np.ndarray], dict[int, np.ndarray]]:
+    """Right-to-left QR sweep of an open chain down to cut ``stop``.
+
+    Each core k = n-1, ..., stop, with the carry from its right absorbed,
+    is split as ``R^dagger Q^dagger``: it becomes the right isometry
+    ``Q^dagger`` and ``R^dagger`` moves into core k-1.  Returns the cores
+    (those from ``stop`` on right-canonical) and each swept cut's
+    ``R^dagger``, keyed by the cut k between sites k-1 and k.
+    """
+    cores = list(cores)
+    carries = {}
+    for k in range(len(cores) - 1, stop - 1, -1):
+        q, rr = np.linalg.qr(cores[k].reshape(cores[k].shape[0], -1).conj().T)
+        cores[k] = q.conj().T.reshape(-1, *cores[k].shape[1:])
+        carries[k] = rr.conj().T
+        cores[k - 1] = np.tensordot(cores[k - 1], carries[k], axes=(2, 0))
+    return cores, carries
+
+
+def _schmidt_spectra(m: MPS, first: int = 1):
+    """Schmidt values of the open-boundary ``m`` across cuts first, ...,
+    n-1, in turn, from one sweep each way: :func:`_right_canonical` down
+    to ``first`` gives every such cut's ``R_right = R^dagger``, and a left
+    sweep of R-only QRs grows ``R_left`` by one site per cut.  A cut's
+    values are the singular values of ``R_left R_right``, which has the
+    state's Schmidt values because the factors beside it are isometries.
+    """
+    _, carries = _right_canonical(m.cores, first)
+    r_left = np.eye(1, dtype=complex)
+    for cut in range(1, len(m)):
+        c = np.tensordot(r_left, m.cores[cut - 1], axes=(1, 0))
+        r_left = np.linalg.qr(c.reshape(-1, c.shape[2]), mode="r")
+        if cut >= first:
+            yield np.linalg.svd(r_left @ carries[cut], compute_uv=False)
+
+
 def schmidt_values(m: MPS, cut: int) -> np.ndarray:
-    """Schmidt coefficients across the bond between sites cut-1 and cut."""
+    """Schmidt coefficients across the bond between sites cut-1 and cut:
+    ``cut`` left QRs and n - cut right ones."""
     if m.boundary != OPEN:
         raise ShapeError("schmidt_values requires an open-boundary MPS")
     if not 1 <= cut < len(m):
         raise ShapeError(f"cut must be in [1, {len(m) - 1}], got {cut}")
-    # left QR sweep up to the cut
-    carry = np.eye(1, dtype=complex)
-    for k in range(cut):
-        c = np.tensordot(carry, m.cores[k], axes=(1, 0))
-        l, p, r = c.shape
-        carry = np.linalg.qr(c.reshape(l * p, r), mode="r")
-    r_left = carry
-    # right LQ sweep down to the cut
-    carry = np.eye(1, dtype=complex)
-    for k in range(len(m) - 1, cut - 1, -1):
-        c = np.tensordot(m.cores[k], carry, axes=(2, 0))
-        l, p, r = c.shape
-        rr = np.linalg.qr(c.reshape(l, p * r).conj().T, mode="r")
-        carry = rr.conj().T
-    center = r_left @ carry
-    s = np.linalg.svd(center, compute_uv=False)
-    return s
+    return next(_schmidt_spectra(m, cut))
 
 
-def bond_entropy(m: MPS, cut: int, q: float = 1.0) -> float:
-    """Renyi-q entanglement entropy across the given cut (natural log)."""
-    s = schmidt_values(m, cut)
+def _entropy(s: np.ndarray, q: float) -> float:
+    """Renyi-q entropy of a cut with Schmidt values ``s`` (largest first)."""
     if not s[0] > 0:  # the largest, by which they are divided before they are squared
         raise ShapeError("zero-norm state has no entanglement entropy")
     p = (s / s[0]) ** 2
     return renyi_entropy(p / p.sum(), q)
 
 
+def bond_entropy(m: MPS, cut: int, q: float = 1.0) -> float:
+    """Renyi-q entanglement entropy across the given cut (natural log)."""
+    return _entropy(schmidt_values(m, cut), q)
+
+
 def compress(m: MPS, policy: TrimPolicy) -> tuple[MPS, CompressionReport]:
     """Sweep of SVD + trim across every bond of an open-boundary MPS.
 
-    The MPS is first right-canonicalized, so each later SVD sees true
-    Schmidt values and its first core alone carries the norm: that core
-    is the block that :func:`_unit_sweep` scales.  The result is
-    renormalized; the report carries per-cut discarded weights as
-    fractions of the input's squared norm, the quadratic fidelity lower
-    bound, and the actual fidelity against the input cores, their overlap
-    with the result divided by 2^e.
+    The MPS is first right-canonicalized (:func:`_right_canonical`), so
+    each later SVD sees true Schmidt values and its first core alone
+    carries the norm: that core is the block that :func:`_unit_sweep`
+    scales.  The result is renormalized; the report carries per-cut
+    discarded weights as fractions of the input's squared norm, the
+    quadratic fidelity lower bound, and the actual fidelity against the
+    input cores, their overlap with the result divided by 2^e.
     """
     if m.boundary != OPEN:
         raise ShapeError("compress requires an open-boundary MPS")
-    cores = [c.copy() for c in m.cores]
     with np.errstate(over="ignore", invalid="ignore"):  # a norm past the float range is refused below
-        for k in range(len(m) - 1, 0, -1):
-            l, p, r = cores[k].shape
-            mk = cores[k].reshape(l, p * r)
-            q_, rr = np.linalg.qr(mk.conj().T)
-            cores[k] = q_.conj().T.reshape(-1, p, r)
-            cores[k - 1] = np.tensordot(cores[k - 1], rr.conj().T, axes=(2, 0))
+        cores, _ = _right_canonical(m.cores)
     out, rep, _ = _unit_sweep(cores[0], m.phys_dims, policy, cores[1:],
                               lambda out, unit, e: math.ldexp(abs(inner(m, out)), -e))
     return out, rep

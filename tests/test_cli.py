@@ -229,6 +229,15 @@ def test_color_count_not_3_regular_exit_2(tmp_path, capsys):
     assert main(["color-count", f]) == 2
 
 
+def test_color_count_not_3_regular_error_names_one_node(tmp_path, capsys):
+    # the error listed every degree: 300040 bytes for this 20-byte file
+    f = write(tmp_path, "sparse.txt", "nodes 100000\n0 1\n")
+    assert main(["color-count", f]) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 1024
+    assert "graph is not 3-regular: node 0 has degree 1" in err
+
+
 def test_color_count_negative_node_count_exit_2(tmp_path, capsys):
     f = write(tmp_path, "neg.txt", "nodes -3\n")
     assert main(["color-count", f]) == 2
@@ -301,6 +310,28 @@ def test_mps_entropy_order_nan_is_an_input_error_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "nan" not in captured.out
     assert "error: order q must be >= 0, got nan" in captured.err
+
+
+@pytest.mark.parametrize("q", ["nan", "-3"])
+def test_mps_entropy_order_is_checked_on_a_state_without_cuts(tmp_path, capsys, q):
+    # one qubit has no cut, so no entropy checked the order: exit 0
+    f = state_file(tmp_path, "one.txt", [1, 0], [2])
+    assert main(["mps", f, "--entropy", q]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: order q must be >= 0, got {float(q)}" in captured.err
+
+
+def test_mps_entropy_json_equals_bond_entropy_per_cut(tmp_path, capsys):
+    gen = np.random.default_rng(16)  # its own stream: later tests keep their draws of rng
+    v = gen.normal(size=64) + 1j * gen.normal(size=64)
+    f = state_file(tmp_path, "rand.txt", v / np.linalg.norm(v), [2] * 6)
+    for q in ("1", "2", "0.5"):
+        assert main(["mps", f, "--entropy", q, "--json"]) == 0
+        machine = json.loads(capsys.readouterr().out)
+        m, _ = tn.mps_from_dense(read_amplitudes(f))
+        for cut in range(1, 6):
+            assert machine[f"entropy_cut_{cut}"] == float(f"{tn.bond_entropy(m, cut, float(q)):.15g}")
 
 
 @pytest.mark.parametrize("q", ["2", "1e308", "inf"])

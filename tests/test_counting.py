@@ -403,6 +403,24 @@ def test_shared_tensor_table_is_bounded_by_the_clause_widths():
     assert len(tn.counting._SHARED) == size
 
 
+def test_shared_tensor_table_does_not_grow_with_clause_width():
+    # every middle piece of a wide clause was its own entry, keyed by its
+    # position: one 2000-wide clause added 1998 entries
+    sizes = []
+    for width in (10, 100, 1000):
+        clause = tuple(v if v % 2 else -v for v in range(1, width + 1))
+        formula_to_network(tn.CnfFormula(width, [clause]))
+        boolean_norm_value(tn.CnfFormula(width, [clause[:10]]))  # a bra too
+        sizes.append(len(tn.counting._SHARED))
+    assert sizes[0] == sizes[1] == sizes[2]
+
+
+def test_non_finite_count_has_its_own_message():
+    # read "contraction value (nan+nanj) is not below 2^53"
+    with pytest.raises(tn.NonIntegralError, match="^the count overflows the float range"):
+        tn.count_sat(tn.CnfFormula(1100, []))
+
+
 def test_oversized_count_is_refused_before_contracting(monkeypatch):
     f = random_3sat(80, 340, 0)
     assert formula_to_network(f).greedy_plan().peak_size > 2**26

@@ -2,6 +2,7 @@
 compression, entropies."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -375,6 +376,41 @@ def test_schmidt_values_equal_the_q_forming_sweeps_bitwise():
     m = tn.MPS(random_cores([1] + [min(2**k, 2 ** (n - k), 16) for k in range(1, n)] + [1]))
     for cut in range(1, n):
         assert np.array_equal(tn.schmidt_values(m, cut), reference_schmidt_values(m, cut))
+
+
+def test_every_cut_takes_one_qr_sweep_each_way(monkeypatch):
+    # each cut ran its own left and right sweep: n^2 - n QRs for every cut
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(a, mode="reduced"):
+        calls.append(a.shape)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    gen = np.random.default_rng(16)  # its own stream: later tests keep their draws of rng
+    for n in (2, 5, 10, 40):
+        bonds = [1] + [min(2**k, 2 ** (n - k), 8) for k in range(1, n)] + [1]
+        m = tn.ghz_mps(n) if n == 40 else tn.MPS([gen.normal(size=(l, 2, r)) + 1j * gen.normal(size=(l, 2, r))
+                                                  for l, r in zip(bonds, bonds[1:])])
+        calls.clear()
+        spectra = list(mpsmod._schmidt_spectra(m))
+        assert len(spectra) == n - 1 and len(calls) <= 2 * (n - 1)
+        for cut, s in enumerate(spectra, start=1):
+            assert np.array_equal(s, reference_schmidt_values(m, cut))
+        calls.clear()
+        tn.schmidt_values(m, n // 2)
+        assert len(calls) == n
+
+
+def test_every_cut_of_a_400_site_ghz_state_in_one_sweep():
+    # 4.6-6.4 s on 2 vCPUs when every cut ran its own pair of sweeps
+    m = tn.ghz_mps(400)
+    start = time.perf_counter()
+    entropies = [mpsmod._entropy(s, 1.0) for s in mpsmod._schmidt_spectra(m)]
+    assert time.perf_counter() - start < 1.0
+    assert len(entropies) == 399
+    assert entropies == pytest.approx([math.log(2)] * 399, rel=0, abs=1e-12)
 
 
 def test_zero_state_is_refused_before_the_sweep(monkeypatch):
