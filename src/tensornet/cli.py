@@ -124,12 +124,12 @@ def cmd_mps(args) -> int:
         policy = TrimPolicy.max_rank(args.max_bond)
     elif args.cutoff is not None:
         policy = TrimPolicy.cutoff(args.cutoff)
-        total = math.prod(w.dim for w in state.wires)
-        if args.cutoff >= 1.0 / math.sqrt(total):
+        # 1/sqrt(dim) for a unit state, scaled with the state as an absolute cutoff is
+        level = state.norm() / math.sqrt(math.prod(w.dim for w in state.wires))
+        if args.cutoff >= level:
             print(
-                f"warning: cutoff {_fmt(args.cutoff)} >= 1/sqrt(dim) = "
-                f"{_fmt(1.0 / math.sqrt(total))}; truncation may discard "
-                "most of the state",
+                f"warning: cutoff {_fmt(args.cutoff)} >= norm/sqrt(dim) = "
+                f"{_fmt(level)}; truncation may discard most of the state",
                 file=sys.stderr,
             )
     factored, rep = mps.mps_from_dense(state, policy)

@@ -435,6 +435,8 @@ def coloring_network(g: Graph, node_orders: list[list[int]] | None = None) -> Te
     for v, d in enumerate(g.degrees()):
         if d != 3:
             raise ShapeError(f"graph is not 3-regular: node {v} has degree {d}")
+    if node_orders is not None and len(node_orders) != g.num_nodes:
+        raise ShapeError(f"node_orders has {len(node_orders)} entries for {g.num_nodes} nodes")
     orders = node_orders if node_orders is not None else _incidence_orders(g)
     eps = catalog.epsilon(3)
     terms = []

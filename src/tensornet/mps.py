@@ -4,16 +4,18 @@ bond entropies.
 
 Cores are order-3 arrays with axes (left bond, physical, right bond).
 Factorization and compression share one left-to-right SVD/trim sweep that
-absorbs the kept singular values into the right factor at every cut.  A
-wide cut (fewer rows r than columns) is first reduced to the r x r
-triangular factor of a QR of its transpose, whose SVD gives the same left
-singular vectors and values; its carry is then u^dagger times the block.
-That R comes from a sequential TSQR: R-only QRs of row blocks of about
-``QR_BLOCK`` elements, stacked, and one more R-only QR of the stack.
-A max-rank chi keeps every singular value of each cut before the first
-with more than chi rows; when that cut is wide, the state is reduced to its
-R factor once, the cuts up to it are swept on R, and one product with the
-chain of their cores gives the carry, so no earlier cut touches the state.
+absorbs the kept singular values into the right factor at every cut.  Its
+one step for a wide cut (fewer rows than columns) sweeps the cuts up to
+the first one that can trim on one R factor: the state's matrix there is
+reduced to the triangular factor R of a QR of its transpose, those cuts
+of R have the state's cores and singular values, and one product with
+the chain of their cores gives the carry.  Under a max rank chi the
+cuts before the first with more than chi rows keep every value, so a
+dense state is reduced once for all of them; a wide cut that can trim at
+once (every wide cut under a cutoff, and in ``compress``) is the case of
+one cut.  That R comes from a sequential TSQR: R-only QRs of row blocks
+of about ``QR_BLOCK`` elements, stacked, and one more R-only QR of the
+stack.  Tall and square cuts take one SVD of the cut itself.
 Both sweeps scale their input by the one rule of ``tensor._unit``: a
 state whose norm is outside ``tensor.NORM_RANGE`` is swept divided by a
 power of two (for ``compress``, the one core of its right-canonical form
@@ -163,80 +165,75 @@ def _trim_sweep(block: np.ndarray, dims: Sequence[int], policy: TrimPolicy | Non
     """Left-to-right SVD sweep that trims every cut.
 
     ``block`` holds the first site and everything right of it with the
-    left bond as its first axis.  At each cut the matrix ``mat`` (left
-    bond and site as rows) is split as ``u s v_dag`` and the kept carry
-    ``s . v_dag`` becomes the rest of the state; if ``tail`` (the cores
-    right of the first) is given, it is absorbed into the next core
-    instead.  A wide ``mat`` (r rows < columns) is reduced first: the SVD
-    runs on the r x r factor ``R.T`` of an R-only QR ``mat.T = Q R``, and
-    the carry is the equal product ``u^dagger . mat``.  ``R`` is found by
-    the blocked QR of :func:`_r_factor`, which makes one direct call on a
-    cut of at most ``QR_BLOCK`` elements.  Tall and square cuts take the
-    SVD of ``mat`` itself, so ``svd_matrix`` runs once per cut and never
-    on a wide matrix.
+    left bond as its first axis.  Each step starts at a cut k with left
+    bond r and sweeps cuts k to ``stop``, the cut :func:`_first_trim`
+    gives: under a max rank chi, the first cut with more than chi rows if
+    that cut is wide, else k.  ``mat`` is the state's matrix at ``stop``,
+    with r prod(dims[k:stop+1]) rows (left bond and sites).
 
-    A dense state (no ``tail``, left bond 1) under a max-rank policy keeps
-    every singular value at each cut before ``first``, the first cut with
-    more than chi rows (:func:`_first_trim`).  If that cut is wide, the
-    state's matrix there, ``mat``, is reduced once, ``mat.T = Q R``, and
-    cuts 0 to ``first`` are swept on ``R.T``, read as the sites up to
-    ``first`` and one site of ``rows`` states.  At each of these cuts the
-    state's matrix is ``R.T``'s times the isometry ``I (x) Q.T`` on the
-    right, so the cores, singular values, keep counts and weights are the
-    same.  The carry at ``first`` is ``L^dagger . mat``, ``L`` the chain
-    product of those cores, and the loop goes on from the next cut.
-    ``policy=None`` keeps every singular value above the numerical rank.
-    Returns the cores, the discarded weight and the dropped count per cut.
+    A tall or square ``mat`` (then stop = k) is split as ``u s v_dag`` and
+    the kept carry ``s . v_dag`` becomes the rest of the state.  A wide
+    ``mat`` is reduced once, ``mat.T = Q R`` by the blocked R-only QR of
+    :func:`_r_factor`, and cuts k to ``stop`` are swept on ``R.T``, read
+    as left bond r, sites k to ``stop`` and one site of ``rows`` states.
+    At each of these cuts the state's matrix is ``R.T``'s times the
+    isometry ``I (x) Q.T`` on the right, so the cores, singular values,
+    keep counts and weights are the same.  The carry is then
+    ``L^dagger . mat``, ``L`` the chain product of those cores.  A wide
+    cut that can trim at once is the case stop = k, as is every wide cut
+    under a cutoff or ``policy=None``.  So ``svd_matrix`` runs once per
+    cut and never on a wide matrix.
+
+    If ``tail`` (the cores right of the first) is given, stop = k and each
+    carry is absorbed into the next core instead.  ``policy=None`` keeps
+    every singular value above the numerical rank.  Returns the cores, the
+    discarded weight and the dropped count per cut.
     """
     cores: list[np.ndarray] = []
     weights: list[float] = []
     dropped: list[int] = []
-    first = None if tail is not None else _first_trim(dims, policy)
-    if first is not None:
-        rows = math.prod(dims[:first + 1])
-        mat = block.reshape(rows, -1)
-        cores, weights, dropped = _trim_sweep(_r_factor(mat.T).T.reshape(1, -1), [*dims[:first + 1], rows], policy)
-        cores.pop()  # the carry of R.T; the state's is formed from mat
-        block = _left_chain(cores).reshape(rows, -1).conj().T @ mat
-    for k in range(0 if first is None else first + 1, len(dims) - 1):
+    k = 0
+    while k < len(dims) - 1:
         rank = block.shape[0]
-        mat = block.reshape(rank * dims[k], -1)
-        wide = mat.shape[0] < mat.shape[1]
-        if wide:
-            # mat = r.T q.T with q.T's rows orthonormal, so the r x r r.T has
-            # mat's left singular vectors and values; q is never formed
-            u, s, _ = svd_matrix(_r_factor(mat.T).T)
+        stop = k if tail is not None else _first_trim(rank, dims, k, policy)
+        mat = block.reshape(rank * math.prod(dims[k:stop + 1]), -1)
+        rows = mat.shape[0]
+        if rows < mat.shape[1]:
+            # mat = R.T Q.T with Q.T's rows orthonormal; Q is never formed
+            part, w, d = _trim_sweep(_r_factor(mat.T).T.reshape(rank, -1), [*dims[k:stop + 1], rows], policy)
+            part.pop()  # the carry of R.T; the state's is formed from mat
+            carry = _left_chain(part, rank).reshape(rows, -1).conj().T @ mat
         else:
             u, s, v_dag = svd_matrix(mat)
-        if policy is None:
-            # exact up to numerical rank: zero singular values carry nothing
-            keep = max(schmidt_rank(s), 1)
-        else:
-            keep = policy.keep_count(s)
-        weights.append(float(np.sum(s[keep:] ** 2)))
-        dropped.append(s.size - keep)
-        cores.append(u[:, :keep].reshape(rank, dims[k], keep))
-        if wide:
-            carry = u[:, :keep].conj().T @ mat
-        else:
+            if policy is None:
+                # exact up to numerical rank: zero singular values carry nothing
+                keep = max(schmidt_rank(s), 1)
+            else:
+                keep = policy.keep_count(s)
+            part, w, d = [u[:, :keep].reshape(rank, dims[k], keep)], [float(np.sum(s[keep:] ** 2))], [s.size - keep]
             carry = s[:keep, np.newaxis] * v_dag[:keep, :]
-        block = carry if tail is None else np.tensordot(carry, tail[k], axes=(1, 0))
+        cores += part
+        weights += w
+        dropped += d
+        block = carry if tail is None else np.tensordot(carry, tail[stop], axes=(1, 0))
+        k = stop + 1
     cores.append(block.reshape(-1, dims[-1], 1))
     return cores, weights, dropped
 
 
-def _first_trim(dims: Sequence[int], policy: TrimPolicy | None) -> int | None:
-    """The first cut k that a max-rank ``policy`` can trim, the first with
-    more than chi rows prod(dims[:k+1]), if it is wide and not cut 0;
-    otherwise None.  Each cut before it has at most chi rows and keeps
-    them all."""
+def _first_trim(rank: int, dims: Sequence[int], k: int, policy: TrimPolicy | None) -> int:
+    """The last cut that one R factor sweeps from cut k with left bond
+    ``rank``: under a max-rank ``policy``, the first cut from k with more
+    than chi rows rank prod(dims[k:stop+1]), if it is wide; otherwise k.
+    Each cut before it has at most chi rows and keeps them all."""
     if policy is None or policy.chi is None:
-        return None
-    for k in range(len(dims) - 1):
-        rows = math.prod(dims[:k + 1])
+        return k
+    rows = rank
+    for stop in range(k, len(dims) - 1):
+        rows *= dims[stop]
         if rows > policy.chi:
-            return k if 0 < k and rows < math.prod(dims[k + 1:]) else None
-    return None
+            return stop if rows < math.prod(dims[stop + 1:]) else k
+    return k
 
 
 def _r_factor(a: np.ndarray) -> np.ndarray:
@@ -314,11 +311,11 @@ def to_dense(m: MPS) -> Tensor:
     return _adopt(left @ right, wires)
 
 
-def _left_chain(cores: Sequence[np.ndarray], ring: int = 1) -> np.ndarray:
-    """The cores contracted left to right as a matrix chain, with the ring
-    bond at the left end open: rows (ring bond, sites but the last),
-    columns (last site, right bond)."""
-    left = np.eye(ring, dtype=complex)
+def _left_chain(cores: Sequence[np.ndarray], bond: int) -> np.ndarray:
+    """The cores contracted left to right as a matrix chain, with their
+    left bond (of dimension ``bond``, a ring bond in :func:`to_dense`) open:
+    rows (left bond, sites but the last), columns (last site, right bond)."""
+    left = np.eye(bond, dtype=complex)
     for c in cores:
         left = left.reshape(-1, c.shape[0]) @ c.reshape(c.shape[0], -1)
     return left

@@ -286,6 +286,20 @@ def test_mps_large_cutoff_warns(tmp_path, capsys):
     assert "warning" in capsys.readouterr().err
 
 
+def test_mps_cutoff_warning_scales_with_the_state_norm(tmp_path, capsys):
+    # 1/sqrt(dim) = 0.5 warned here though every singular value is 100
+    f = write(tmp_path, "big.txt", "dims 2 2\n100 0\n0 0\n0 0\n100 0\n")
+    assert main(["mps", f, "--cutoff", "0.5"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert float(parse_human(captured.out)["fidelity"]) == pytest.approx(1.0, abs=1e-12)
+    # and stayed silent here below 0.5, at a cutoff close to the singular values 0.01
+    f = write(tmp_path, "small.txt", "dims 2 2\n0.01 0\n0 0\n0 0\n0.01 0\n")
+    assert main(["mps", f, "--cutoff", "0.008"]) == 0
+    err = capsys.readouterr().err
+    assert "warning: cutoff 0.008 >= norm/sqrt(dim) = 0.00707106781186548" in err
+
+
 def test_mps_degenerate_cutoff_exit_3(tmp_path, capsys):
     v = rng.normal(size=16)
     v /= np.linalg.norm(v)

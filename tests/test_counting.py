@@ -515,6 +515,9 @@ def test_coloring_requires_3_regular():
         tn.count_3_edge_colorings(K4, [[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4, 4]])
     with pytest.raises(ValueError):
         tn.count_3_edge_colorings(K4, [[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4]])
+    # one order for two nodes was a bare IndexError
+    with pytest.raises(tn.ShapeError, match="node_orders has 1 entries for 2 nodes"):
+        tn.count_3_edge_colorings(tn.Graph(2, [(0, 1)] * 3), [[0, 1, 2]])
 
 
 def test_theta_graph_count():

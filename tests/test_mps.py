@@ -352,6 +352,16 @@ def test_every_cut_is_one_svd_of_a_tall_or_square_matrix(monkeypatch):
         shapes.clear()
         tn.compress(m, tn.TrimPolicy.max_rank(chi // 4))
         assert len(shapes) == n - 1 and all(rows >= cols for rows, cols in shapes)
+    # every wide cut of a cutoff or exact sweep, and a qutrit prefix
+    own = np.random.default_rng(18)
+    for dims, policies in (((2,) * 12, (None, tn.TrimPolicy.cutoff(0.02), tn.TrimPolicy.cutoff(0.05, relative=True))),
+                           ((3,) * 7, (tn.TrimPolicy.max_rank(5),))):
+        v = own.normal(size=math.prod(dims)) + 1j * own.normal(size=math.prod(dims))
+        state = tn.ket(v / np.linalg.norm(v), dims=list(dims))
+        for policy in policies:
+            shapes.clear()
+            tn.mps_from_dense(state, policy)
+            assert len(shapes) == len(dims) - 1 and all(rows >= cols for rows, cols in shapes)
 
 
 def reference_schmidt_values(m, cut):
@@ -508,7 +518,10 @@ def test_states_far_from_unit_norm_are_swept_scaled(scale):
 
 
 def test_states_near_unit_norm_are_swept_unscaled(monkeypatch):
-    state = random_state(6)
+    # 64 amplitudes of modulus 1/8: the float norm is exactly 1, so the scaled
+    # states below are at the ends of NORM_RANGE, not a rounding outside them
+    state = tn.ket(rng.choice([1, -1, 1j, -1j], size=64) / 8, dims=[2] * 6)
+    assert state.norm() == 1.0
     m, _ = tn.mps_from_dense(state)
     with monkeypatch.context() as patched:
         for module in (mpsmod, tensormod):
@@ -540,12 +553,20 @@ def test_the_untrimmed_prefix_reduces_the_state_once(monkeypatch):
 
 def test_first_trim_finds_the_first_wide_cut_a_max_rank_can_trim():
     qutrits, mixed = (3,) * 7, (2, 3, 2, 3, 2, 3, 2)  # rows 3, 9, 27, 81, ...; 2, 6, 12, 36, 72, ...
-    assert [mpsmod._first_trim(qutrits, tn.TrimPolicy.max_rank(chi)) for chi in (1, 2, 3, 5, 24, 50, 3**7)] == \
-        [None, None, 1, 1, 2, None, None]  # cut 0 has nothing before it; 81 x 27 at chi = 50 is tall
-    assert [mpsmod._first_trim(mixed, tn.TrimPolicy.max_rank(chi)) for chi in (2, 3, 5, 8, 24, 432)] == \
-        [1, 1, 1, 2, None, None]  # 36 x 12 at chi = 24 is tall
+    assert [mpsmod._first_trim(1, qutrits, 0, tn.TrimPolicy.max_rank(chi)) for chi in (1, 2, 3, 5, 24, 50, 3**7)] == \
+        [0, 0, 1, 1, 2, 0, 0]  # cut 0 trims at once; 81 x 27 at chi = 50 is tall
+    assert [mpsmod._first_trim(1, mixed, 0, tn.TrimPolicy.max_rank(chi)) for chi in (2, 3, 5, 8, 24, 432)] == \
+        [1, 1, 1, 2, 0, 0]  # 36 x 12 at chi = 24 is tall
+    # from cut 1 with a left bond of 2: rows 6, 18, 54, 162 against columns 243, 81, 27, 9
+    assert [mpsmod._first_trim(2, qutrits, 1, tn.TrimPolicy.max_rank(chi)) for chi in (5, 6, 17, 18, 54, 10**6)] == \
+        [1, 2, 2, 1, 1, 1]  # 54 x 27 at chi = 18 is tall
+    # from cut 1 of the mixed dims with a left bond of 2: rows 6, 12, 36, 72 against columns 72, 24, 12, 6
+    assert [mpsmod._first_trim(2, mixed, 1, tn.TrimPolicy.max_rank(chi)) for chi in (5, 6, 11, 12, 10**6)] == \
+        [1, 2, 2, 1, 1]  # 36 x 12 at chi = 12 is tall
+    assert mpsmod._first_trim(4, qutrits, 5, tn.TrimPolicy.max_rank(2)) == 5  # the last cut
     for policy in (None, tn.TrimPolicy.cutoff(0.1), tn.TrimPolicy.cutoff(0.1, relative=True)):
-        assert mpsmod._first_trim((2,) * 10, policy) is None
+        for rank, k in ((1, 0), (2, 3), (8, 7)):
+            assert mpsmod._first_trim(rank, (2,) * 10, k, policy) == k
 
 
 def test_prefix_sweep_matches_the_reference_sweep_on_qudits(monkeypatch):
