@@ -412,34 +412,33 @@ def aklt_chain(n: int) -> Tensor:
 # -- entropies and compression -----------------------------------------
 
 
-def _right_canonical(cores: Sequence[np.ndarray], stop: int = 1) -> tuple[list[np.ndarray], dict[int, np.ndarray]]:
-    """Right-to-left QR sweep of an open chain down to cut ``stop``.
-
-    Each core k = n-1, ..., stop, with the carry from its right absorbed,
-    is split as ``R^dagger Q^dagger``: it becomes the right isometry
-    ``Q^dagger`` and ``R^dagger`` moves into core k-1.  Returns the cores
-    (those from ``stop`` on right-canonical) and each swept cut's
-    ``R^dagger``, keyed by the cut k between sites k-1 and k.
-    """
+def _right_canonical(cores: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Right-to-left QR sweep of an open chain: each core k = n-1, ..., 1,
+    with the carry from its right absorbed, is split as
+    ``R^dagger Q^dagger``; it becomes the right isometry ``Q^dagger`` and
+    ``R^dagger`` moves into core k-1.  Returns the cores, every one but the
+    first right-canonical."""
     cores = list(cores)
-    carries = {}
-    for k in range(len(cores) - 1, stop - 1, -1):
+    for k in range(len(cores) - 1, 0, -1):
         q, rr = np.linalg.qr(cores[k].reshape(cores[k].shape[0], -1).conj().T)
         cores[k] = q.conj().T.reshape(-1, *cores[k].shape[1:])
-        carries[k] = rr.conj().T
-        cores[k - 1] = np.tensordot(cores[k - 1], carries[k], axes=(2, 0))
-    return cores, carries
+        cores[k - 1] = np.tensordot(cores[k - 1], rr.conj().T, axes=(2, 0))
+    return cores
 
 
 def _schmidt_spectra(m: MPS, first: int = 1):
     """Schmidt values of the open-boundary ``m`` across cuts first, ...,
-    n-1, in turn, from one sweep each way: :func:`_right_canonical` down
-    to ``first`` gives every such cut's ``R_right = R^dagger``, and a left
+    n-1, in turn, from one sweep each way: the right sweep of
+    :func:`_right_canonical` down to ``first``, with R-only QRs (the same R,
+    no Q formed), gives every such cut's ``R_right = R^dagger``, and a left
     sweep of R-only QRs grows ``R_left`` by one site per cut.  A cut's
     values are the singular values of ``R_left R_right``, which has the
     state's Schmidt values because the factors beside it are isometries.
     """
-    _, carries = _right_canonical(m.cores, first)
+    carries, core = {}, m.cores[-1]
+    for k in range(len(m) - 1, first - 1, -1):
+        carries[k] = np.linalg.qr(core.reshape(core.shape[0], -1).conj().T, mode="r").conj().T
+        core = np.tensordot(m.cores[k - 1], carries[k], axes=(2, 0))
     r_left = np.eye(1, dtype=complex)
     for cut in range(1, len(m)):
         c = np.tensordot(r_left, m.cores[cut - 1], axes=(1, 0))
@@ -485,7 +484,7 @@ def compress(m: MPS, policy: TrimPolicy) -> tuple[MPS, CompressionReport]:
     if m.boundary != OPEN:
         raise ShapeError("compress requires an open-boundary MPS")
     with np.errstate(over="ignore", invalid="ignore"):  # a norm past the float range is refused below
-        cores, _ = _right_canonical(m.cores)
+        cores = _right_canonical(m.cores)
     out, rep, _ = _unit_sweep(cores[0], m.phys_dims, policy, cores[1:],
                               lambda out, unit, e: math.ldexp(abs(inner(m, out)), -e))
     return out, rep

@@ -9,6 +9,12 @@ contraction see only the other nodes, each as a list of index names, and a
 count over clause tensors joined by COPY tensors contracts its clause
 tensors only.
 
+The planner's size model is the only record of a merge: each node it
+follows keeps its index names in the order its array holds them, and each
+merge is laid out once, while planning (transpose orders, matmul shapes and
+the result's dims).  ``contract_all`` loads the nodes and replays those
+layouts.
+
 A network built by hand is written as its index formula: ``from_terms``
 takes (tensor, keys) terms, one node each, and bonds the two wires that
 carry one key, as in einsum subscripts.  The invariants here, the AKLT
@@ -51,8 +57,9 @@ class _Fused:
     node is its ``(node id, label)`` end.
     """
 
-    wires: dict[int, list]  # node -> index name of each wire, in wire order
-    indices: dict[int, set]  # node -> the names it keeps once loaded (see _load)
+    steps: dict[int, list]  # node -> the steps that load its array, from its wires' names (see _loading)
+    axes: dict[int, dict]  # node -> each name its loaded array holds -> that name's axis
+    sizes: dict[int, int]  # node -> the size of its loaded array
     holders: dict  # name -> the nodes that hold it once loaded
     dims: dict  # name -> dimension
     kept: set  # names of open ends: never summed
@@ -72,82 +79,111 @@ def _is_delta(t: Tensor) -> bool:
     return flat[::step].tolist() == [1] * d and np.count_nonzero(flat) == d
 
 
-def _load(x: np.ndarray, ns: list, keep: set) -> tuple[np.ndarray, list]:
-    """A node's array and index names as contraction starts: a bond name
+def _loading(ns: list, keep, dims: dict) -> tuple[list, dict, int]:
+    """How a node whose wires carry the index names ``ns`` is loaded: the
+    steps ``_load`` takes, each a function of the array; the names the
+    loaded array holds, each mapped to its axis; and its size.  A bond name
     that appears twice (a self-loop) is traced, a spider group held on
-    several wires is reduced to its diagonal, and every name outside
-    ``keep`` is summed."""
+    several wires is reduced to its diagonal (whose axis goes last), and
+    every name outside ``keep`` is summed."""
+    steps = []
     if len(set(ns)) < len(ns):
+        ns = list(ns)
         for loop in [n for k, n in enumerate(ns) if n in ns[k + 1:] and isinstance(n, int) and n >= 0]:
             i, j = [k for k, n in enumerate(ns) if n == loop]
-            x = np.trace(x, axis1=i, axis2=j)
+            steps.append(functools.partial(np.trace, axis1=i, axis2=j))
             del ns[j], ns[i]
         while len(set(ns)) < len(ns):
             group = next(n for k, n in enumerate(ns) if n in ns[k + 1:])
             i, j = [k for k, n in enumerate(ns) if n == group][:2]
-            x = np.diagonal(x, axis1=i, axis2=j)  # the diagonal axis goes last
+            steps.append(functools.partial(np.diagonal, axis1=i, axis2=j))
             del ns[j], ns[i]
             ns.append(group)
-    if len(ns) > len(keep):  # keep is a subset of the names
-        x = x.sum(axis=tuple(k for k, n in enumerate(ns) if n not in keep))
-        ns = [n for n in ns if n in keep]
-    return x, ns
+    axes, summed, size = {}, [], 1
+    for k, n in enumerate(ns):
+        if n in keep:
+            axes[n] = len(axes)
+            size *= dims[n]
+        else:
+            summed.append(k)
+    if summed:
+        steps.append(operator.methodcaller("sum", axis=tuple(summed)))
+    return steps, axes, size
+
+
+def _load(x: np.ndarray, steps: list) -> np.ndarray:
+    """A node's array as contraction starts (see ``_loading``)."""
+    for step in steps:
+        x = step(x)
+    return x
 
 
 class _Sizes:
-    """The size model of planning: the index set of every node left while
-    merges are followed, and its size in elements.  A merge sums each index
-    that no other remaining node holds and that is not open; every other
-    index of the pair stays, once."""
+    """The size model of planning, which also lays out every merge.
+
+    Every node left while merges are followed keeps one record: its index
+    names in the order its array holds them, each mapped to its axis.  A
+    merge sums each index of the pair that no other remaining node holds
+    and that is not open; every other index of the pair stays, once."""
 
     def __init__(self, fused: _Fused):
-        self.indices = {nid: set(ix) for nid, ix in fused.indices.items()}
+        self.axes, self.sizes = dict(fused.axes), dict(fused.sizes)
         self.holders = {n: set(h) for n, h in fused.holders.items()}
         self.dims, self.kept = fused.dims, fused.kept
-        self.sizes = {nid: self.size(ix) for nid, ix in self.indices.items()}
-
-    def size(self, names) -> int:
-        return math.prod(map(self.dims.__getitem__, names))
-
-    def bucket_size(self, group: set) -> int:
-        """Size of the node that merging every node in ``group`` leaves.
-
-        Only the indices of the group's other nodes are scanned, once each,
-        not those of its widest node: an index that is summed is held by two
-        nodes of the group (a closed index on one node alone is summed when
-        it gets there), so it is among them."""
-        indices, dims, kept, holders = self.indices, self.dims, self.kept, self.holders
-        wide = max(group, key=lambda g: len(indices[g]))
-        base = indices[wide]
-        seen, grown, summed = set(), 1, 1
-        for g in group:
-            if g != wide:
-                for n in indices[g]:
-                    if n not in seen:
-                        seen.add(n)
-                        if n not in base:
-                            grown *= dims[n]
-                        if n not in kept and holders[n] <= group:
-                            summed *= dims[n]
-        return self.sizes[wide] * grown // summed
+        self.layouts = []  # one per merge, see merge
 
     def merge(self, a: int, b: int) -> int:
-        """Merge a and b (the smaller id keeps the result); return its size."""
-        keep, drop = min(a, b), max(a, b)
-        pair, left = {a, b}, set()
-        for n in self.indices[keep] | self.indices.pop(drop):
-            h = self.holders[n]
-            if n in self.kept or not h <= pair:
-                left.add(n)
-                if drop in h:
-                    h.discard(drop)
-                    h.add(keep)
+        """Merge a and b (the smaller id keeps the result); return its size.
+
+        Each index the pair shares is a batch index (open, or held by
+        another node) or a summed one; the others are free.  The merge is
+        one ``np.matmul`` of a's array laid out (batch, free of a, summed)
+        and b's laid out (batch, summed, free of b); the result holds
+        (batch, free of a, free of b).  ``layouts`` gains the merge's
+        (a, b, a's axis order, a's matmul shape, b's axis order, b's matmul
+        shape, the result's dims)."""
+        axes, holders, kept, dims = self.axes, self.holders, self.kept, self.dims
+        keep, drop = (a, b) if a < b else (b, a)
+        xa, xb = axes.pop(a), axes.pop(b)
+        batch, free_a, free_b = [], [], []  # names
+        batch_a, batch_b, summed_a, summed_b, order_a, order_b = [], [], [], [], [], []  # axes
+        batch_dims, summed_dims, dims_a, dims_b = [], [], [], []
+        for x, i in xa.items():
+            j = xb.get(x)
+            if j is None:
+                free_a.append(x)
+                order_a.append(i)
+                dims_a.append(dims[x])
+                continue
+            h = holders[x]
+            if len(h) > 2 or x in kept:
+                batch.append(x)
+                batch_a.append(i)
+                batch_b.append(j)
+                batch_dims.append(dims[x])
+                h.discard(drop)
             else:
-                del self.holders[n]
+                summed_a.append(i)
+                summed_b.append(j)
+                summed_dims.append(dims[x])
+                del holders[x]
+        for x, j in xb.items():
+            if x not in xa:
+                free_b.append(x)
+                order_b.append(j)
+                dims_b.append(dims[x])
+        for x in free_a if drop == a else free_b:
+            h = holders[x]
+            h.discard(drop)
+            h.add(keep)
+        names = batch + free_a + free_b
+        axes[keep] = {x: j for j, x in enumerate(names)}
+        nbatch, k, m, n = math.prod(batch_dims), math.prod(summed_dims), math.prod(dims_a), math.prod(dims_b)
         del self.sizes[drop]
-        self.indices[keep] = left
-        self.sizes[keep] = self.size(left)
-        return self.sizes[keep]
+        self.sizes[keep] = size = nbatch * m * n
+        self.layouts.append((a, b, (*batch_a, *order_a, *summed_a), (nbatch, m, k), (*batch_b, *summed_b, *order_b),
+                             (nbatch, k, n), (*batch_dims, *dims_a, *dims_b)))
+        return size
 
 
 class TensorNetwork:
@@ -172,7 +208,7 @@ class TensorNetwork:
         self._version = 0
         self._deltas: dict[int, Tensor] = {}  # id -> tensor checked by add_spider
         self._fused: tuple[int, _Fused] | None = None  # (version, view)
-        self._planned: tuple | None = None  # (version, merges, peak) of greedy_plan
+        self._planned: tuple | None = None  # (version, merges, peak, layouts, left): see _plan
 
     def add(self, t: Tensor) -> int:
         nid = self._next_id
@@ -207,7 +243,7 @@ class TensorNetwork:
         t = self._nodes.get(nid)
         if t is None:
             raise WireError(f"no node {nid}")
-        return t.wire(label)
+        return t.wires[t.axis(label)]
 
     def connect(self, end_a: End, end_b: End) -> None:
         wa, wb = self._wire(end_a), self._wire(end_b)
@@ -215,12 +251,13 @@ class TensorNetwork:
             raise WireError(f"bond {end_a}-{end_b}: dims {wa.dim} != {wb.dim}")
         if wa.flavor is wb.flavor:
             raise WireError(f"bond {end_a}-{end_b}: both wires are {wa.flavor.value}")
-        bond_of, spiders = self._bond_of, self._spiders
-        for end in (end_a, end_b):
-            if end in bond_of and end[0] not in spiders:
-                raise WireError(f"wire already bonded: {end}")
-        bond_of[end_a] = bond_of[end_b] = len(self._bonds)
-        self._bonds.append((end_a, end_b))
+        bond_of, bonds = self._bond_of, self._bonds
+        if end_a in bond_of or end_b in bond_of:
+            for end in (end_a, end_b):
+                if end in bond_of and end[0] not in self._spiders:
+                    raise WireError(f"wire already bonded: {end}")
+        bond_of[end_a] = bond_of[end_b] = len(bonds)
+        bonds.append((end_a, end_b))
         self._version += 1
 
     def open_wires(self) -> list[End]:
@@ -251,17 +288,18 @@ class TensorNetwork:
                 ra, rb = find(na), find(nb)
                 root[max(ra, rb)] = min(ra, rb)
 
+        group_of = {s: -1 - find(s) for s in root}  # spider -> its group's name
         bonds, bond_of = self._bonds, self._bond_of
         closed = len(bond_of) == self._ends  # then no spider wire is open
         wires, holders, dims, open_ends, open_names = {}, {}, {}, [], []
         for nid, t in self._nodes.items():  # ids are added in increasing order
-            if nid in root:
+            if nid in group_of:
                 if not closed:
                     for w in t.wires:
                         end = (nid, w.label)
                         if end not in bond_of:
                             open_ends.append(end)
-                            open_names.append(-1 - find(nid))
+                            open_names.append(group_of[nid])
                 continue
             ns = wires[nid] = []
             for w in t.wires:
@@ -273,13 +311,15 @@ class TensorNetwork:
                     open_names.append(end)
                 else:
                     a, b = bonds[k]
-                    other = (b if a == end else a)[0]
-                    n = -1 - find(other) if other in root else k
+                    n = group_of.get((b if a == end else a)[0], k)
                 ns.append(n)
                 dims[n] = w.dim
-                holders.setdefault(n, set()).add(nid)
+                h = holders.get(n)
+                if h is None:
+                    holders[n] = {nid}
+                else:
+                    h.add(nid)
         kept = set(open_names)
-        indices = {nid: {n for n in ns if n in kept or len(holders[n]) > 1} for nid, ns in wires.items()}
         loose, scale = [], 1.0
         for s in sorted(root):
             if root[s] == s:
@@ -292,7 +332,10 @@ class TensorNetwork:
                 else:
                     scale *= dims[group]
         holders = {n: h for n, h in holders.items() if n in kept or len(h) > 1}
-        fused = _Fused(wires, indices, holders, dims, kept, open_ends, open_names, loose, scale)
+        steps, axes, sizes = {}, {}, {}
+        for nid, ns in wires.items():
+            steps[nid], axes[nid], sizes[nid] = _loading(ns, holders, dims)
+        fused = _Fused(steps, axes, sizes, holders, dims, kept, open_ends, open_names, loose, scale)
         self._fused = (self._version, fused)
         return fused
 
@@ -312,64 +355,97 @@ class TensorNetwork:
         Buckets wait in a heap of (size, holders, index); an entry whose
         bucket has changed is skipped when popped.  Only the indices of a
         bucket's result change their buckets, so eliminating an index
-        pushes one entry per index d of the result.  Sizing a bucket scans
-        the indices of its nodes but the widest (``_Sizes.bucket_size``),
+        pushes one entry per index d of the result.  Sizing such a bucket
+        scans the indices of its nodes but the result, which holds them all,
         so an elimination costs O(d (s + log H)) for s scanned indices and
         H heap entries; planning random 3-SAT with 300 variables and 600
-        clauses takes about 0.2 s on 2 vCPUs.
+        clauses takes about 0.1 s on 2 vCPUs.
 
-        The plan is made once per version of the network; every call
-        returns a fresh copy, so changing it changes nothing else.
+        The plan is made once per version of the network, and it lays out
+        every merge (``_Sizes.merge``) for ``contract_all`` to replay.
+        Every call returns a fresh copy of its merges and peak, so changing
+        it changes nothing else.
         """
+        _, merges, peak, _, _ = self._plan()
+        return ContractionPlan(list(merges), peak)
+
+    def _plan(self) -> tuple:
+        """(version, merges, peak, layouts, left) of the current version's
+        plan, made once per version: ``layouts`` lays out each merge (see
+        ``_Sizes.merge``), ``left`` maps each node left after the merges to
+        its index names, in axis order."""
         if self._planned is not None and self._planned[0] == self._version:
-            return ContractionPlan(list(self._planned[1]), self._planned[2])
+            return self._planned
         model = _Sizes(self._fuse())
-        plan = ContractionPlan(peak_size=max(model.sizes.values(), default=1))
-        current = {}  # index -> its bucket's (size, holders)
+        axes, holders, sizes, dims, kept = model.axes, model.holders, model.sizes, model.dims, model.kept
+        merges, peak = [], max(sizes.values(), default=1)
+        current = {}  # index -> the heap entry (size, sorted holders, index) of its bucket
         heap = []
 
-        def push(x) -> None:
-            group = model.holders[x]
-            if len(group) > 1:
-                current[x] = key = (model.bucket_size(group), tuple(sorted(group)))
-                heapq.heappush(heap, (*key, x))
-            else:  # an open index left on one node
-                current.pop(x, None)
+        def push(xs, base=None) -> None:
+            """Push the bucket of each index in xs: its size is the size of
+            one of its nodes, ``base`` if given (else its first), times the
+            dims of the other nodes' indices that this node lacks, over the
+            dims of those summed.  Every summed index is among them: it is
+            held by two nodes of the bucket, since a closed index on one
+            node alone is summed when it gets there."""
+            for x in xs:
+                group = holders[x]
+                if len(group) < 2:  # an open index left on one node
+                    current.pop(x, None)
+                    continue
+                node = next(iter(group)) if base is None else base
+                names, rest, size = axes[node], set(), sizes[node]
+                for g in group:
+                    if g != node:
+                        rest.update(axes[g])
+                for n in rest:
+                    if n not in names:
+                        size *= dims[n]
+                    if holders[n] <= group and n not in kept:
+                        size //= dims[n]
+                entry = (size, tuple(sorted(group)), x)
+                if current.get(x) != entry:  # else that entry is in the heap
+                    current[x] = entry
+                    heapq.heappush(heap, entry)
 
-        for x in model.holders:
-            push(x)
-        while heap:
-            size, group, x = heapq.heappop(heap)
-            if x not in model.holders or current.get(x) != (size, group):  # summed, or changed
+        push(holders)
+        while heap and len(sizes) > 1:  # one node left: every entry is stale
+            entry = heapq.heappop(heap)
+            _, group, x = entry
+            if current.get(x) is not entry or x not in holders:  # changed, or summed
                 continue
             del current[x]
-            queue = [(model.sizes[g], g) for g in group]
+            queue = [(sizes[g], g) for g in group]
             heapq.heapify(queue)
             while len(queue) > 1:
                 (_, a), (_, b) = heapq.heappop(queue), heapq.heappop(queue)
                 a, b = min(a, b), max(a, b)
-                plan.merges.append((a, b))
+                merges.append((a, b))
                 merged = model.merge(a, b)
-                plan.peak_size = max(plan.peak_size, merged)
+                if merged > peak:
+                    peak = merged
                 heapq.heappush(queue, (merged, a))
-            for y in model.indices[queue[0][1]]:
-                push(y)
-        self._planned = (self._version, tuple(plan.merges), plan.peak_size)
-        return plan
+            push(axes[a], a)  # every index of the result: its bucket holds a
+        left = {nid: list(ax) for nid, ax in axes.items()}
+        self._planned = (self._version, tuple(merges), peak, model.layouts, left)
+        return self._planned
 
     def contract_all(self) -> Tensor:
         """Contract every bond; open wires survive in declared order.
 
-        The network chooses its own order: the merges of ``greedy_plan``.
-        Spiders are fused first (see ``_fuse``), so every other node is a
-        list of index names, and a node is loaded by ``_load``.  A merge
-        sums the names the two nodes share that no other remaining node
-        holds and that are not open; it is one ``np.matmul``, whose batch
-        axes (size 1 when there are none) are the shared names still held
-        elsewhere.  Several open wires on one spider group give the
-        diagonal.  Disconnected pieces are combined by tensor product in
-        node-id order; scalar pieces, and the dimension of each closed
-        group that no node holds, multiply as Python numbers.
+        The network chooses its own order: the merges of ``greedy_plan``,
+        which lays each of them out.  Spiders are fused first (see
+        ``_fuse``), so every other node is a list of index names, and a
+        node is loaded by ``_load``.  A merge sums the names the two nodes
+        share that no other remaining node holds and that are not open; it
+        replays its layout: one transpose and one reshape per operand, one
+        ``np.matmul``, whose batch axes (size 1 when there are none) are the
+        shared names still held elsewhere, and one reshape of the result.
+        Several open wires on one spider group give the diagonal.
+        Disconnected pieces are combined by tensor product in node-id
+        order; scalar pieces, and the dimension of each closed group that
+        no node holds, multiply as Python numbers.
 
         Raises ``SizeLimitError`` before contracting anything when the
         plan's peak, or the result, is more than ``MAX_ELEMENTS`` elements.
@@ -384,33 +460,13 @@ class TensorNetwork:
                 f"over the limit of 2^{math.log2(MAX_ELEMENTS):.0f} elements"
             )
 
-        arrays, names = {}, {}
-        for nid, ns in fused.wires.items():
-            arrays[nid], names[nid] = _load(self._nodes[nid].data, list(ns), fused.indices[nid])
-        held = {n: len(h) for n, h in fused.holders.items()}  # remaining nodes holding each name
-
-        dims, kept = fused.dims, fused.kept
-        for a, b in plan.merges:
-            na, nb = names.pop(a), names.pop(b)
-            xa, xb = arrays.pop(a), arrays.pop(b)
-            shared = set(na).intersection(nb)
-            batch, summed, free_a = [], [], []
-            for n in na:
-                if n not in shared:
-                    free_a.append(n)
-                    continue
-                held[n] -= 1
-                (batch if n in kept or held[n] > 1 else summed).append(n)
-            free_b = [n for n in nb if n not in shared]
-            k = math.prod(dims[n] for n in summed)
-            nbatch = math.prod(dims[n] for n in batch)
+        _, _, _, layouts, names = self._plan()  # made by greedy_plan at this version
+        arrays = {nid: _load(self._nodes[nid].data, steps) for nid, steps in fused.steps.items()}
+        for a, b, order_a, shape_a, order_b, shape_b, dims in layouts:
             # rebinding drops each operand before the matmul, unless its layout is a view of it
-            xa = xa.transpose([na.index(n) for n in batch + free_a + summed]).reshape(nbatch, -1, k)
-            xb = xb.transpose([nb.index(n) for n in batch + summed + free_b]).reshape(nbatch, k, -1)
-            out = np.matmul(xa, xb)
-            keep = min(a, b)
-            names[keep] = batch + free_a + free_b
-            arrays[keep] = out.reshape([dims[n] for n in names[keep]])
+            xa = arrays.pop(a).transpose(order_a).reshape(shape_a)
+            xb = arrays.pop(b).transpose(order_b).reshape(shape_b)
+            arrays[min(a, b)] = np.matmul(xa, xb).reshape(dims)
 
         # multiply the scalar pieces; outer-product the others in id order
         nids = sorted(arrays)

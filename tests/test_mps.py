@@ -394,7 +394,7 @@ def test_every_cut_takes_one_qr_sweep_each_way(monkeypatch):
     qr = np.linalg.qr
 
     def counted(a, mode="reduced"):
-        calls.append(a.shape)
+        calls.append((a.shape, mode))
         return qr(a, mode=mode)
 
     monkeypatch.setattr(np.linalg, "qr", counted)
@@ -406,11 +406,12 @@ def test_every_cut_takes_one_qr_sweep_each_way(monkeypatch):
         calls.clear()
         spectra = list(mpsmod._schmidt_spectra(m))
         assert len(spectra) == n - 1 and len(calls) <= 2 * (n - 1)
+        assert {mode for _, mode in calls} == {"r"}  # neither sweep forms a Q
         for cut, s in enumerate(spectra, start=1):
             assert np.array_equal(s, reference_schmidt_values(m, cut))
         calls.clear()
         tn.schmidt_values(m, n // 2)
-        assert len(calls) == n
+        assert len(calls) == n and {mode for _, mode in calls} == {"r"}
 
 
 def test_every_cut_of_a_400_site_ghz_state_in_one_sweep():

@@ -1,11 +1,16 @@
 """Tensor network graphs, contraction plans, and invariant networks."""
 
+import functools
 import heapq
 import math
+import operator
+import random
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 
 import tensornet as tn
 from tensornet.network import determinant_via_epsilon
@@ -460,6 +465,17 @@ def random_plan(net, gen):
         rep = {nid: keep if r == drop else r for nid, r in rep.items()}
 
 
+def laid_out(net, merges):
+    """A stand-in for ``greedy_plan`` that makes the given merges the plan
+    of the network's current version: the planner's size model lays them
+    out, as it does its own."""
+    model = tn.network._Sizes(net._fuse())
+    peak = max([*model.sizes.values(), *(model.merge(a, b) for a, b in merges)], default=1)
+    left = {nid: list(ax) for nid, ax in model.axes.items()}
+    net._planned = (net._version, tuple(merges), peak, model.layouts, left)
+    return tn.network.ContractionPlan(list(merges), peak)
+
+
 def random_feature_network(gen):
     """A network with two bonds between one pair of nodes, a node with two
     self-loops and two other bonds, a disconnected piece, an isolated node
@@ -514,8 +530,10 @@ def test_contract_all_matches_one_einsum_on_random_networks(monkeypatch):
         for plan in (None, random_plan(net, gen), random_plan(net, gen)):
             with monkeypatch.context() as m:
                 if plan is not None:  # contract in a random merge order
-                    m.setattr(tn.TensorNetwork, "greedy_plan", lambda self, plan=plan: plan)
+                    m.setattr(tn.TensorNetwork, "greedy_plan", lambda self, plan=plan: laid_out(self, plan.merges))
                 out = net.contract_all()
+                if plan is not None:
+                    assert out.data.tobytes() == reference_contract_all(net, plan.merges).tobytes()
             assert out.labels == tuple(labels)
             assert [w.dim for w in out.wires] == list(expect.shape)
             assert np.allclose(out.data, expect, rtol=1e-12, atol=1e-12)
@@ -727,7 +745,100 @@ def reference_fuse(self):
             else:
                 scale *= dims[group]
     holders = {n: h for n, h in holders.items() if n in kept or len(h) > 1}
-    return tn.network._Fused(wires, indices, holders, dims, kept, open_ends, open_names, loose, scale)
+    return ReferenceFused(wires, indices, holders, dims, kept, open_ends, open_names, loose, scale)
+
+
+@dataclass
+class ReferenceFused:
+    """``network._Fused`` as it was before it held each node's load."""
+
+    wires: dict  # node -> index name of each wire, in wire order
+    indices: dict  # node -> the names it keeps once loaded (see reference_load)
+    holders: dict  # name -> the nodes that hold it once loaded
+    dims: dict  # name -> dimension
+    kept: set  # names of open ends: never summed
+    open_ends: list  # unbonded wire ends, by node id, then in wire order
+    open_names: list  # name of each open end
+    loose: list  # open spider groups that no node holds
+    scale: float  # product of the dims of closed spider groups that no node holds
+
+
+def reference_load(x, ns, keep):
+    """``network._load`` as it was before its steps were worked out once per
+    version: a node's array and index names as contraction starts."""
+    if len(set(ns)) < len(ns):
+        for loop in [n for k, n in enumerate(ns) if n in ns[k + 1:] and isinstance(n, int) and n >= 0]:
+            i, j = [k for k, n in enumerate(ns) if n == loop]
+            x = np.trace(x, axis1=i, axis2=j)
+            del ns[j], ns[i]
+        while len(set(ns)) < len(ns):
+            group = next(n for k, n in enumerate(ns) if n in ns[k + 1:])
+            i, j = [k for k, n in enumerate(ns) if n == group][:2]
+            x = np.diagonal(x, axis1=i, axis2=j)  # the diagonal axis goes last
+            del ns[j], ns[i]
+            ns.append(group)
+    if len(ns) > len(keep):  # keep is a subset of the names
+        x = x.sum(axis=tuple(k for k, n in enumerate(ns) if n not in keep))
+        ns = [n for n in ns if n in keep]
+    return x, ns
+
+
+def reference_contract_all(self, merges):
+    """``TensorNetwork.contract_all`` as it was before the plan laid out each
+    merge, on ``reference_fuse`` and ``reference_load``, running the given
+    merges: each merge works out its shared, batch and summed names
+    itself.  Kept as the oracle for the bytes every contraction gives."""
+    fused = reference_fuse(self)
+    arrays, names = {}, {}
+    for nid, ns in fused.wires.items():
+        arrays[nid], names[nid] = reference_load(self._nodes[nid].data, list(ns), fused.indices[nid])
+    held = {n: len(h) for n, h in fused.holders.items()}  # remaining nodes holding each name
+
+    dims, kept = fused.dims, fused.kept
+    for a, b in merges:
+        na, nb = names.pop(a), names.pop(b)
+        xa, xb = arrays.pop(a), arrays.pop(b)
+        shared = set(na).intersection(nb)
+        batch, summed, free_a = [], [], []
+        for n in na:
+            if n not in shared:
+                free_a.append(n)
+                continue
+            held[n] -= 1
+            (batch if n in kept or held[n] > 1 else summed).append(n)
+        free_b = [n for n in nb if n not in shared]
+        k = math.prod(dims[n] for n in summed)
+        nbatch = math.prod(dims[n] for n in batch)
+        xa = xa.transpose([na.index(n) for n in batch + free_a + summed]).reshape(nbatch, -1, k)
+        xb = xb.transpose([nb.index(n) for n in batch + summed + free_b]).reshape(nbatch, k, -1)
+        out = np.matmul(xa, xb)
+        keep = min(a, b)
+        names[keep] = batch + free_a + free_b
+        arrays[keep] = out.reshape([dims[n] for n in names[keep]])
+
+    nids = sorted(arrays)
+    scalars = [arrays[nid].item() for nid in nids if not names[nid]]
+    if fused.scale != 1:
+        scalars.append(fused.scale)
+    pieces = [(arrays[nid], names[nid]) for nid in nids if names[nid]]
+    pieces += [(np.ones(fused.dims[g], dtype=complex), [g]) for g in fused.loose]
+    value = functools.reduce(operator.mul, scalars) if scalars else 1.0
+    if not pieces:
+        data = np.array(value, dtype=complex)
+    else:
+        data = functools.reduce(lambda x, y: np.tensordot(x, y, axes=0), [x for x, _ in pieces])
+        if scalars:
+            data = data * value
+    all_names = [n for _, ns in pieces for n in ns]
+    distinct = list(dict.fromkeys(fused.open_names))
+    data = np.transpose(data, [all_names.index(n) for n in distinct])
+    open_dims = [fused.dims[n] for n in fused.open_names]
+    if len(distinct) < len(open_dims):
+        full = np.zeros(open_dims, dtype=complex)
+        strides = [sum(s for s, m in zip(full.strides, fused.open_names) if m == n) for n in distinct]
+        as_strided(full, data.shape, strides)[...] = data
+        data = full
+    return data
 
 
 
@@ -747,10 +858,11 @@ def reference_plan_peak(self, merges):
 
 
 def reference_elimination_plan(self):
-    """``greedy_plan`` as it was before its bookkeeping took fewer steps,
-    on ``reference_fuse`` and ``ReferenceSizes``: index elimination, the
+    """``greedy_plan`` as it was before the plan laid out each merge, on
+    ``reference_fuse`` and ``ReferenceSizes``: index elimination, the
     smallest bucket first, ties broken by the sorted tuple of its holders,
-    each bucket merged pairwise, smallest first."""
+    each bucket merged pairwise, smallest first.  Kept as the oracle for
+    every plan's merges and peak."""
     model = ReferenceSizes(reference_fuse(self))
     plan = tn.network.ContractionPlan(peak_size=max(model.sizes.values(), default=1))
     current = {}  # index -> its bucket's (size, holders)
@@ -808,7 +920,16 @@ def test_elimination_plan_equals_the_reference_on_spider_networks():
     nets = random_formula_networks(gen) + [random_spider_network(gen) for _ in range(40)]
     assert sum(bool(net.open_wires()) for net in nets) >= 16
     for net in nets:
-        assert net._fuse() == reference_fuse(net)
+        fused, expect = net._fuse(), reference_fuse(net)
+        assert (fused.holders, fused.dims, fused.kept) == (expect.holders, expect.dims, expect.kept)
+        assert (fused.open_ends, fused.open_names, fused.loose, fused.scale) == (
+            expect.open_ends, expect.open_names, expect.loose, expect.scale)
+        assert fused.steps.keys() == fused.axes.keys() == fused.sizes.keys() == expect.wires.keys()
+        for nid, axes in fused.axes.items():
+            data = net.nodes[nid].data
+            x, ns = reference_load(data, list(expect.wires[nid]), expect.indices[nid])
+            assert list(axes) == ns and list(axes.values()) == list(range(len(ns))) and fused.sizes[nid] == x.size
+            assert tn.network._load(data, fused.steps[nid]).tobytes() == x.tobytes()
         plan, expect = net.greedy_plan(), reference_elimination_plan(net)
         assert plan.merges == expect.merges
         assert plan.peak_size == expect.peak_size
@@ -891,6 +1012,54 @@ def test_heap_greedy_plan_equals_the_rescanning_greedy(monkeypatch):
         net = tn.counting.formula_to_network(f)
         assert net.greedy_plan().peak_size <= reference_greedy_plan(reference_formula_network(f)).peak_size
         assert tn.count_sat(f).count == tn.brute_force_sat(f)
+
+
+def benchmark_structures():
+    """The 48 random 3-SAT clause structures (n=8, m=16) that the ``sat-count``
+    benchmark workload counts (its stream ``1708-8-16``), with random signs."""
+    gen = random.Random("1708-8-16")
+    structures = [[tuple(gen.sample(range(1, 9), 3)) for _ in range(16)] for _ in range(48)]
+    signs = random.Random(20)
+    return [tn.CnfFormula(8, [tuple(v if signs.random() < 0.5 else -v for v in c) for c in s]) for s in structures]
+
+
+def open_group_networks(gen):
+    """|f> networks whose variable spiders carry several open wires: each of
+    some variables' open wire is bonded to a COPY spider with two more."""
+    nets = []
+    for n, m in [(3, 4), (4, 6), (5, 8), (6, 9)]:
+        for _ in range(2):
+            net, ends = tn.counting.formula_state_network(random_3sat(n, m, gen))
+            for end in ends[::2]:
+                net.connect(end, (net.add_spider(tn.copy_tensor(2, 1)), "i0"))
+            nets.append(net)
+    return nets
+
+
+def test_plans_and_bytes_equal_the_reference_engine(monkeypatch):
+    # the merges and peak of every plan are the reference planner's, and every
+    # contraction that fits 2^16 elements gives the reference merge loop's bytes
+    gen = np.random.default_rng(404)
+    prisms = [tn.Graph(2 * k, [(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % k) for i in range(k)]
+                       + [(i, k + i) for i in range(k)]) for k in (3, 4, 5, 6)]  # k = 4 is the cube
+    k4 = tn.Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
+    sizes = [(12, 30), (20, 60), (30, 90), (50, 100)] * 2  # random 3-SAT up to n=50
+    formulas = benchmark_structures() + [random_3sat(n, m, gen) for n, m in sizes]
+    nets = [tn.counting.formula_to_network(f) for f in formulas]
+    nets += [tn.counting.coloring_network(g) for g in [k4, *prisms]]
+    nets += invariant_networks(monkeypatch)
+    nets += recorded_networks(monkeypatch, *[lambda n=n: tn.aklt_chain(n) for n in range(2, 7)])
+    nets += open_group_networks(gen) + [random_spider_network(gen) for _ in range(100)]
+    contracted = 0
+    for net in nets:
+        plan, expect = net.greedy_plan(), reference_elimination_plan(net)
+        assert plan.merges == expect.merges
+        assert plan.peak_size == expect.peak_size
+        if plan.peak_size <= 2**16:
+            contracted += 1
+            assert net.contract_all().data.tobytes() == reference_contract_all(net, expect.merges).tobytes()
+    several = [net for net in nets if len(set(net._fuse().open_names)) < len(net._fuse().open_names)]
+    assert contracted >= len(nets) - 4 and len(several) >= 8
 
 
 @pytest.mark.parametrize("formula", [tn.CnfFormula(3000, []), random_3sat(300, 600, np.random.default_rng(8))],
