@@ -248,7 +248,7 @@ def von_neumann(probs) -> float:
     """-sum p ln p with 0 ln 0 = 0 (natural log)."""
     p = _check_probs(probs)
     nz = p[p > 0]
-    return float(-np.sum(nz * np.log(nz)))
+    return float(-np.sum(nz * np.log(nz))) + 0.0  # a product cut gives 0.0, not -0.0
 
 
 def renyi_entropy(probs, q: float) -> float:

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import catalog
 from .decomp import TrimPolicy, renyi_entropy, schmidt_rank, svd_matrix
-from .errors import ShapeError, SizeLimitError
+from .errors import DegenerateTrimError, ShapeError, SizeLimitError
 from .network import from_terms
 from .tensor import UPPER, Tensor, WireSpec, _adopt, _times_pow2, _unit, raise_wire
 
@@ -137,9 +137,12 @@ def _unit_sweep(block: np.ndarray, dims: Sequence[int], policy: TrimPolicy | Non
                 tail: Sequence[np.ndarray] | None, overlap) -> tuple[MPS, CompressionReport, int]:
     """:func:`_trim_sweep` of ``block / 2^e`` as ``tensor._unit`` scales
     it, with an absolute cutoff divided by 2^e alike, so that no power of
-    the norm below underflows or overflows.  A zero or non-finite norm is
-    refused before any SVD.  The cores are renormalized unless ``policy``
-    is None, and the fidelity is (|overlap(m, block / 2^e, e)| / (||m||
+    the norm below underflows or overflows.  Where that division
+    overflows, the cutoff is inf: past every singular value of the scaled
+    block, as the given one is past every singular value of ``block``.  A
+    cutoff that discards every singular value is named as given.  A zero
+    or non-finite norm is refused before any SVD.  The cores are renormalized unless ``policy`` is None, and
+    the fidelity is (|overlap(m, block / 2^e, e)| / (||m||
     ||block / 2^e||))^2, ``overlap`` giving the overlap of the result with
     the scaled input.  Returns the MPS, its report and e.
     """
@@ -148,9 +151,18 @@ def _unit_sweep(block: np.ndarray, dims: Sequence[int], policy: TrimPolicy | Non
         raise ShapeError("zero-norm state: its squared norm is 0, so it has no fidelity")
     if not math.isfinite(size):
         raise ShapeError(f"state norm is {size}: not a finite float")
+    given = policy
     if e and policy is not None and policy.xi is not None and not policy.relative:
-        policy = TrimPolicy.cutoff(math.ldexp(policy.xi, -e))
-    cores, weights, dropped = _trim_sweep(unit, dims, policy, tail)
+        try:
+            policy = TrimPolicy.cutoff(math.ldexp(policy.xi, -e))
+        except OverflowError:
+            policy = TrimPolicy.cutoff(math.inf)
+    try:
+        cores, weights, dropped = _trim_sweep(unit, dims, policy, tail)
+    except DegenerateTrimError:
+        if policy is given:
+            raise
+        raise DegenerateTrimError(f"cutoff {given.xi} discards every singular value") from None
     m = MPS(cores)
     nrm = norm(m)
     if policy is not None and nrm > 0:  # renormalize: ||m|| is then 1
@@ -258,8 +270,9 @@ def _report(m: MPS, policy: TrimPolicy | None, weights: list[float], dropped: li
     the xi^2 of the quadratic fidelity bound of an absolute cutoff."""
     weights = [float(w / norm2) for w in weights]
     if policy is not None and policy.xi is not None and not policy.relative:
-        # quadratic bound: |<psi|psi''>|^2 >= 1 - sum_cuts n_c xi^2 / ||psi||^2
-        bound = 1.0 - policy.xi**2 * sum(dropped) / norm2
+        # quadratic bound: |<psi|psi''>|^2 >= 1 - sum_cuts n_c xi^2 / ||psi||^2;
+        # with nothing dropped it is 1, for a cutoff whose square overflows too
+        bound = 1.0 - policy.xi**2 * sum(dropped) / norm2 if any(dropped) else 1.0
     else:
         bound = 1.0 - sum(weights)
     return CompressionReport(m.bond_dims, tuple(weights), float(bound), float(fid), tuple(dropped))

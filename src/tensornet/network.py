@@ -9,11 +9,12 @@ contraction see only the other nodes, each as a list of index names, and a
 count over clause tensors joined by COPY tensors contracts its clause
 tensors only.
 
-The planner's size model is the only record of a merge: each node it
-follows keeps its index names in the order its array holds them, and each
-merge is laid out once, while planning (transpose orders, matmul shapes and
-the result's dims).  ``contract_all`` loads the nodes and replays those
-layouts.
+Each version of a network has one record (``_Fused``): ``_fuse`` builds
+it, the planner merges it in place, and ``contract_all`` runs it.  Each
+node the planner follows keeps its index names in the order its array
+holds them, and each merge is laid out once, while planning (transpose
+orders, matmul shapes and the result's dims); the run loads the nodes and
+replays those layouts.
 
 A network built by hand is written as its index formula: ``from_terms``
 takes (tensor, keys) terms, one node each, and bonds the two wires that
@@ -46,27 +47,6 @@ class ContractionPlan:
 
     merges: list[tuple[int, int]] = field(default_factory=list)
     peak_size: int = 0
-
-
-@dataclass
-class _Fused:
-    """A network with its spiders fused into shared indices.
-
-    Index names: a bond between two other nodes is its bond index, a group
-    of spiders is ``-1 - (its smallest spider id)``, an open wire of another
-    node is its ``(node id, label)`` end.
-    """
-
-    steps: dict[int, list]  # node -> the steps that load its array, from its wires' names (see _loading)
-    axes: dict[int, dict]  # node -> each name its loaded array holds -> that name's axis
-    sizes: dict[int, int]  # node -> the size of its loaded array
-    holders: dict  # name -> the nodes that hold it once loaded
-    dims: dict  # name -> dimension
-    kept: set  # names of open ends: never summed
-    open_ends: list  # unbonded wire ends, by node id, then in wire order
-    open_names: list  # name of each open end
-    loose: list  # open spider groups that no node holds
-    scale: float  # product of the dims of closed spider groups that no node holds
 
 
 def _is_delta(t: Tensor) -> bool:
@@ -118,19 +98,35 @@ def _load(x: np.ndarray, steps: list) -> np.ndarray:
     return x
 
 
-class _Sizes:
-    """The size model of planning, which also lays out every merge.
+@dataclass
+class _Fused:
+    """One version of a network, fused and then planned: ``_fuse`` builds
+    it, ``TensorNetwork._plan`` merges it in place, and ``run`` contracts
+    by it.
 
-    Every node left while merges are followed keeps one record: its index
-    names in the order its array holds them, each mapped to its axis.  A
-    merge sums each index of the pair that no other remaining node holds
-    and that is not open; every other index of the pair stays, once."""
+    Index names: a bond between two other nodes is its bond index, a group
+    of spiders is ``-1 - (its smallest spider id)``, an open wire of another
+    node is its ``(node id, label)`` end.  Every node left while merges are
+    followed keeps one entry in ``axes``: its index names in the order its
+    array holds them, each mapped to its axis.  A merge sums each index of
+    the pair that no other remaining node holds and that is not open; every
+    other index of the pair stays, once.
+    """
 
-    def __init__(self, fused: _Fused):
-        self.axes, self.sizes = dict(fused.axes), dict(fused.sizes)
-        self.holders = {n: set(h) for n, h in fused.holders.items()}
-        self.dims, self.kept = fused.dims, fused.kept
-        self.layouts = []  # one per merge, see merge
+    version: int  # the network version it was built at
+    steps: dict[int, list]  # node -> the steps that load its array, from its wires' names (see _loading)
+    axes: dict[int, dict]  # node left -> each name its array holds -> that name's axis
+    sizes: dict[int, int]  # node left -> the size of its array
+    holders: dict  # name -> the nodes left that hold it
+    dims: dict  # name -> dimension
+    kept: set  # names of open ends: never summed
+    open_ends: list  # unbonded wire ends, by node id, then in wire order
+    open_names: list  # name of each open end
+    loose: list  # open spider groups that no node holds
+    scale: float  # product of the dims of closed spider groups that no node holds
+    peak: int  # the size of the largest node, loaded or merged
+    merges: list = field(default_factory=list)  # (a, b) of each merge, in order
+    layouts: list = field(default_factory=list)  # one per merge, see merge
 
     def merge(self, a: int, b: int) -> int:
         """Merge a and b (the smaller id keeps the result); return its size.
@@ -185,6 +181,51 @@ class _Sizes:
                              (nbatch, k, n), (*batch_dims, *dims_a, *dims_b)))
         return size
 
+    def run(self, nodes: dict[int, Tensor]) -> Tensor:
+        """Contract the network's ``nodes`` by this record: load each node,
+        replay the layout of every merge, then assemble what is left (see
+        ``TensorNetwork.contract_all``)."""
+        arrays = {nid: _load(nodes[nid].data, steps) for nid, steps in self.steps.items()}
+        for a, b, order_a, shape_a, order_b, shape_b, dims in self.layouts:
+            # rebinding drops each operand before the matmul, unless its layout is a view of it
+            xa = arrays.pop(a).transpose(order_a).reshape(shape_a)
+            xb = arrays.pop(b).transpose(order_b).reshape(shape_b)
+            arrays[min(a, b)] = np.matmul(xa, xb).reshape(dims)
+
+        # multiply the scalar pieces; outer-product the others in id order
+        names = self.axes  # each node left -> its names, in axis order
+        nids = sorted(arrays)
+        scalars = [arrays[nid].item() for nid in nids if not names[nid]]
+        if self.scale != 1:
+            scalars.append(self.scale)
+        pieces = [(arrays[nid], names[nid]) for nid in nids if names[nid]]
+        pieces += [(np.ones(self.dims[g], dtype=complex), [g]) for g in self.loose]
+        value = functools.reduce(operator.mul, scalars) if scalars else 1.0
+        if not pieces:
+            data = np.array(value, dtype=complex)
+        else:
+            data = functools.reduce(lambda x, y: np.tensordot(x, y, axes=0), [x for x, _ in pieces])
+            if scalars:
+                data = data * value
+        all_names = [n for _, ns in pieces for n in ns]
+        distinct = list(dict.fromkeys(self.open_names))
+        data = np.transpose(data, [all_names.index(n) for n in distinct])
+        open_dims = [self.dims[n] for n in self.open_names]
+        if len(distinct) < len(open_dims):
+            # several open wires on one spider group: write the diagonal
+            full = np.zeros(open_dims, dtype=complex)
+            strides = [sum(s for s, m in zip(full.strides, self.open_names) if m == n) for n in distinct]
+            as_strided(full, data.shape, strides)[...] = data
+            data = full
+        wires = []
+        taken = set()
+        for nid, label in self.open_ends:
+            w = nodes[nid].wire(label)
+            lab = label if label not in taken else f"n{nid}:{label}"
+            taken.add(lab)
+            wires.append(WireSpec(lab, w.dim, w.flavor))
+        return Tensor(data, wires)
+
 
 class TensorNetwork:
     """Multigraph of tensor nodes joined by bonds.
@@ -195,7 +236,9 @@ class TensorNetwork:
     bonded to k legs of one bigger spider.  Nodes may be mutated (added,
     connected) until contraction, which is a pure function of the network.
     Every ``add``, ``add_spider`` and ``connect`` starts a new version of
-    the network; the fused view is built once per version.
+    the network.  Each version has one record (``_Fused``), fused and
+    planned the first time ``greedy_plan``, ``contract_all`` or
+    ``open_wires`` asks for it.
     """
 
     def __init__(self):
@@ -207,8 +250,7 @@ class TensorNetwork:
         self._ends = 0  # wire ends of all nodes: the network is closed when every one is bonded
         self._version = 0
         self._deltas: dict[int, Tensor] = {}  # id -> tensor checked by add_spider
-        self._fused: tuple[int, _Fused] | None = None  # (version, view)
-        self._planned: tuple | None = None  # (version, merges, peak, layouts, left): see _plan
+        self._planned: _Fused | None = None  # the latest version's planned record: see _plan
 
     def add(self, t: Tensor) -> int:
         nid = self._next_id
@@ -262,20 +304,19 @@ class TensorNetwork:
 
     def open_wires(self) -> list[End]:
         """Unbonded wire ends, by node id, then in wire order."""
-        return list(self._fuse().open_ends)
+        return list(self._plan().open_ends)
 
     # -- contraction ---------------------------------------------------
 
     def _fuse(self) -> _Fused:
-        """The other nodes as index names, each connected group of spiders
-        collapsed into one name (built once per version).
+        """A fresh record of the current version, not yet planned: the
+        other nodes as index names, each connected group of spiders
+        collapsed into one name.
 
         A wire bonded to a spider takes its group's name; an open wire on a
         spider keeps the group open; a closed group that no other node
         holds becomes a scalar factor equal to its dimension.
         """
-        if self._fused is not None and self._fused[0] == self._version:
-            return self._fused[1]
         root = {s: s for s in self._spiders}
 
         def find(s: int) -> int:
@@ -335,9 +376,8 @@ class TensorNetwork:
         steps, axes, sizes = {}, {}, {}
         for nid, ns in wires.items():
             steps[nid], axes[nid], sizes[nid] = _loading(ns, holders, dims)
-        fused = _Fused(steps, axes, sizes, holders, dims, kept, open_ends, open_names, loose, scale)
-        self._fused = (self._version, fused)
-        return fused
+        return _Fused(self._version, steps, axes, sizes, holders, dims, kept, open_ends, open_names, loose, scale,
+                      max(sizes.values(), default=1))
 
     def greedy_plan(self) -> ContractionPlan:
         """Deterministic plan by index elimination on the fused network.
@@ -361,24 +401,24 @@ class TensorNetwork:
         H heap entries; planning random 3-SAT with 300 variables and 600
         clauses takes about 0.1 s on 2 vCPUs.
 
-        The plan is made once per version of the network, and it lays out
-        every merge (``_Sizes.merge``) for ``contract_all`` to replay.
-        Every call returns a fresh copy of its merges and peak, so changing
-        it changes nothing else.
+        The plan is made once per version of the network (see ``_plan``),
+        and it lays out every merge (``_Fused.merge``) for ``contract_all``
+        to replay.  Every call returns a fresh copy of its merges and peak,
+        so changing it changes nothing else.
         """
-        _, merges, peak, _, _ = self._plan()
-        return ContractionPlan(list(merges), peak)
+        program = self._plan()
+        return ContractionPlan(list(program.merges), program.peak)
 
-    def _plan(self) -> tuple:
-        """(version, merges, peak, layouts, left) of the current version's
-        plan, made once per version: ``layouts`` lays out each merge (see
-        ``_Sizes.merge``), ``left`` maps each node left after the merges to
-        its index names, in axis order."""
-        if self._planned is not None and self._planned[0] == self._version:
-            return self._planned
-        model = _Sizes(self._fuse())
-        axes, holders, sizes, dims, kept = model.axes, model.holders, model.sizes, model.dims, model.kept
-        merges, peak = [], max(sizes.values(), default=1)
+    def _plan(self) -> _Fused:
+        """The current version's record, planned: made once per version by
+        ``_fuse`` and merged in place by the greedy of ``greedy_plan``, so
+        its ``axes`` then hold the nodes left after the merges."""
+        program = self._planned
+        if program is not None and program.version == self._version:
+            return program
+        program = self._fuse()
+        axes, holders, sizes, dims, kept = program.axes, program.holders, program.sizes, program.dims, program.kept
+        merges, peak = program.merges, program.peak
         current = {}  # index -> the heap entry (size, sorted holders, index) of its bucket
         heap = []
 
@@ -422,20 +462,21 @@ class TensorNetwork:
                 (_, a), (_, b) = heapq.heappop(queue), heapq.heappop(queue)
                 a, b = min(a, b), max(a, b)
                 merges.append((a, b))
-                merged = model.merge(a, b)
+                merged = program.merge(a, b)
                 if merged > peak:
                     peak = merged
                 heapq.heappush(queue, (merged, a))
             push(axes[a], a)  # every index of the result: its bucket holds a
-        left = {nid: list(ax) for nid, ax in axes.items()}
-        self._planned = (self._version, tuple(merges), peak, model.layouts, left)
-        return self._planned
+        program.peak = peak
+        self._planned = program
+        return program
 
     def contract_all(self) -> Tensor:
         """Contract every bond; open wires survive in declared order.
 
         The network chooses its own order: the merges of ``greedy_plan``,
-        which lays each of them out.  Spiders are fused first (see
+        which lays each of them out in the version's record.  The record
+        then runs (``_Fused.run``).  Spiders are fused first (see
         ``_fuse``), so every other node is a list of index names, and a
         node is loaded by ``_load``.  A merge sums the names the two nodes
         share that no other remaining node holds and that are not open; it
@@ -450,55 +491,15 @@ class TensorNetwork:
         Raises ``SizeLimitError`` before contracting anything when the
         plan's peak, or the result, is more than ``MAX_ELEMENTS`` elements.
         """
-        fused = self._fuse()
         plan = self.greedy_plan()
-        open_dims = [fused.dims[n] for n in fused.open_names]
-        need = max(plan.peak_size, math.prod(open_dims))
+        program = self._plan()  # made by greedy_plan at this version
+        need = max(plan.peak_size, math.prod(program.dims[n] for n in program.open_names))
         if need > MAX_ELEMENTS:
             raise SizeLimitError(
                 f"contraction needs a {need}-element tensor (2^{math.log2(need):.1f}), "
                 f"over the limit of 2^{math.log2(MAX_ELEMENTS):.0f} elements"
             )
-
-        _, _, _, layouts, names = self._plan()  # made by greedy_plan at this version
-        arrays = {nid: _load(self._nodes[nid].data, steps) for nid, steps in fused.steps.items()}
-        for a, b, order_a, shape_a, order_b, shape_b, dims in layouts:
-            # rebinding drops each operand before the matmul, unless its layout is a view of it
-            xa = arrays.pop(a).transpose(order_a).reshape(shape_a)
-            xb = arrays.pop(b).transpose(order_b).reshape(shape_b)
-            arrays[min(a, b)] = np.matmul(xa, xb).reshape(dims)
-
-        # multiply the scalar pieces; outer-product the others in id order
-        nids = sorted(arrays)
-        scalars = [arrays[nid].item() for nid in nids if not names[nid]]
-        if fused.scale != 1:
-            scalars.append(fused.scale)
-        pieces = [(arrays[nid], names[nid]) for nid in nids if names[nid]]
-        pieces += [(np.ones(fused.dims[g], dtype=complex), [g]) for g in fused.loose]
-        value = functools.reduce(operator.mul, scalars) if scalars else 1.0
-        if not pieces:
-            data = np.array(value, dtype=complex)
-        else:
-            data = functools.reduce(lambda x, y: np.tensordot(x, y, axes=0), [x for x, _ in pieces])
-            if scalars:
-                data = data * value
-        all_names = [n for _, ns in pieces for n in ns]
-        distinct = list(dict.fromkeys(fused.open_names))
-        data = np.transpose(data, [all_names.index(n) for n in distinct])
-        if len(distinct) < len(open_dims):
-            # several open wires on one spider group: write the diagonal
-            full = np.zeros(open_dims, dtype=complex)
-            strides = [sum(s for s, m in zip(full.strides, fused.open_names) if m == n) for n in distinct]
-            as_strided(full, data.shape, strides)[...] = data
-            data = full
-        wires = []
-        taken = set()
-        for nid, label in fused.open_ends:
-            w = self._nodes[nid].wire(label)
-            lab = label if label not in taken else f"n{nid}:{label}"
-            taken.add(lab)
-            wires.append(WireSpec(lab, w.dim, w.flavor))
-        return Tensor(data, wires)
+        return program.run(self._nodes)
 
 
 # -- networks written as index formulas -------------------------------

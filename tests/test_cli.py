@@ -307,6 +307,23 @@ def test_mps_degenerate_cutoff_exit_3(tmp_path, capsys):
     assert main(["mps", f, "--cutoff", "1e6"]) == 3
 
 
+@pytest.mark.parametrize("amp, xi", [("1e-300", "1e-5"), ("1e-320", "0.1")])
+def test_mps_tiny_state_degenerate_cutoff_names_it_exit_3(tmp_path, capsys, amp, xi):
+    # 1e-300 named the cutoff divided by 2^e (6.696928794914171e+294), and
+    # 1e-320 printed "error: math range error"
+    f = write(tmp_path, "bell.txt", f"dims 2 2\n{amp} 0\n0 0\n0 0\n{amp} 0\n")
+    assert main(["mps", f, "--cutoff", xi]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: cutoff {float(xi)} discards every singular value" in captured.err
+
+
+def test_mps_entropy_of_a_product_cut_is_positive_zero(tmp_path, capsys):
+    f = write(tmp_path, "product.txt", "dims 2 2\n1 0\n0 0\n0 0\n0 0\n")
+    assert main(["mps", f, "--entropy", "1", "--json"]) == 0
+    assert '"entropy_cut_1": 0.0' in capsys.readouterr().out  # it printed -0.0
+
+
 @pytest.mark.parametrize("xi", ["nan", "-1"])
 def test_mps_cutoff_nan_or_negative_is_an_input_error_exit_2(tmp_path, capsys, xi):
     # nan exited 3 ("discards every singular value"), -1 was accepted

@@ -213,6 +213,13 @@ def test_renyi_of_a_product_cut_is_positive_zero(q):
     assert h == 0.0 and math.copysign(1.0, h) == 1.0
 
 
+def test_von_neumann_of_a_product_cut_is_positive_zero():
+    # -(1 ln 1) is -0.0: q = 1 gave -0.0 where q = 2 gave 0.0
+    for h in (tn.von_neumann([1.0]), tn.renyi_entropy([1.0, 0.0], 1), tn.renyi_entropy([1.0], 1)):
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
+    assert tn.von_neumann([0.5, 0.5]) == math.log(2)
+
+
 def test_schmidt_rank_tolerance():
     assert tn.schmidt_rank([1.0, 1e-13, 0.0]) == 1
     assert tn.schmidt_rank([1.0, 1e-6]) == 2

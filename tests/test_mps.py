@@ -233,6 +233,12 @@ def test_product_state_bonds_are_one():
         assert tn.bond_entropy(m, cut) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_bond_entropy_of_a_product_cut_is_positive_zero():
+    m, _ = tn.mps_from_dense(tn.ket([1, 0, 0, 0], dims=[2, 2]))
+    h = tn.bond_entropy(m, 1)
+    assert h == 0.0 and math.copysign(1.0, h) == 1.0  # it was -0.0
+
+
 def test_aklt_chain_structure():
     state = tn.aklt_chain(4)
     assert [w.dim for w in state.wires] == [2, 3, 3, 3, 2]
@@ -516,6 +522,26 @@ def test_states_far_from_unit_norm_are_swept_scaled(scale):
             assert np.allclose(big_rep.discarded_weights, rep.discarded_weights, rtol=1e-9, atol=1e-12)
             assert big_rep.fidelity_bound == pytest.approx(rep.fidelity_bound, rel=1e-9)
             assert big_rep.fidelity == pytest.approx(rep.fidelity, rel=1e-9)
+
+
+@pytest.mark.parametrize("scale, xi", [(1e-300, 1e-5), (1e-320, 0.1)])
+def test_tiny_states_name_the_given_cutoff_that_discards_everything(scale, xi):
+    # the cutoff divided by 2^e named 6.7e294 for 1e-5 at 1e-300, and at
+    # 1e-320 the division overflowed: OverflowError, "math range error"
+    bell = tn.ket(np.array([scale, 0, 0, scale], dtype=complex), dims=[2, 2])
+    exact, _ = tn.mps_from_dense(bell)
+    policy = tn.TrimPolicy.cutoff(xi)
+    message = f"cutoff {xi} discards every singular value"
+    with pytest.raises(tn.DegenerateTrimError, match=message):
+        tn.mps_from_dense(bell, policy)
+    with pytest.raises(tn.DegenerateTrimError, match=message):
+        tn.compress(exact, policy)
+    # a state without cuts trims nothing, at any cutoff: its report is the unit state's
+    one = tn.ket(np.array([scale, scale], dtype=complex), dims=[2])
+    _, rep = tn.mps_from_dense(one, policy)
+    _, unit = tn.mps_from_dense(tn.ket(np.array([1, 1], dtype=complex), dims=[2]), tn.TrimPolicy.cutoff(1e6))
+    assert (rep.bond_dims, rep.dropped_counts, rep.fidelity_bound) == (unit.bond_dims, unit.dropped_counts, 1.0)
+    assert rep.fidelity == pytest.approx(1.0, rel=0, abs=1e-12)
 
 
 def test_states_near_unit_norm_are_swept_unscaled(monkeypatch):

@@ -1,5 +1,6 @@
 """Tensor network graphs, contraction plans, and invariant networks."""
 
+import copy
 import functools
 import heapq
 import math
@@ -222,11 +223,11 @@ def test_contract_refuses_an_oversized_product_of_pieces():
 
 
 def count_plans(monkeypatch):
-    """A list that gains one entry per plan made: greedy_plan builds one
-    _Sizes each time it plans."""
+    """A list that gains one entry per plan made: the planner fuses a fresh
+    record each time it plans."""
     built = []
-    sizes = tn.network._Sizes
-    monkeypatch.setattr(tn.network, "_Sizes", lambda fused: built.append(1) or sizes(fused))
+    fuse = tn.TensorNetwork._fuse
+    monkeypatch.setattr(tn.TensorNetwork, "_fuse", lambda self: built.append(1) or fuse(self))
     return built
 
 
@@ -319,6 +320,39 @@ def test_greedy_plan_is_made_once_per_version(monkeypatch):
     for n, m in [(6, 10), (8, 16), (10, 30)]:
         tn.count_sat(random_3sat(n, m, gen))
     assert len(built) == 3
+
+
+def test_a_record_held_from_fuse_is_not_changed_by_planning_or_contracting():
+    # the planner merges a record of its own in place: a caller's is left as it was built
+    def planned_fields(r):
+        return r.axes, r.sizes, r.holders, r.merges, r.peak, r.layouts
+
+    gen = np.random.default_rng(8)
+    for net in (random_feature_network(gen), tn.formula_to_network(random_3sat(6, 12, gen))):
+        held = net._fuse()
+        built = copy.deepcopy(planned_fields(held))
+        plan = net.greedy_plan()
+        net.contract_all()
+        assert plan.merges and planned_fields(held) == built
+        assert planned_fields(net._fuse()) == built  # a record built afresh is the same
+        assert net._plan() is not held and net._plan().merges == plan.merges
+
+
+def test_planning_contracting_and_open_wires_fuse_once_per_version(monkeypatch):
+    built = count_plans(monkeypatch)
+    net = tn.TensorNetwork()
+    ids = [net.add(tn.matrix(rng.normal(size=(2, 2)))) for _ in range(4)]
+    calls = [net.open_wires, net.greedy_plan, net.contract_all]
+    for k in range(3):  # each call comes first at one version, then all run again
+        for call in calls[k:] + calls[:k] + calls:
+            call()
+        assert len(built) == k + 1
+        net.connect((ids[k], "in"), (ids[k + 1], "out"))
+    s = net.add_spider(tn.copy_tensor(2, 1))
+    net.connect((s, "o0"), (ids[3], "in"))
+    assert net.contract_all().labels == ("out", "o1", "i0")
+    assert net.open_wires() == [(0, "out"), (s, "o1"), (s, "i0")] and net.greedy_plan().merges
+    assert len(built) == 4  # none for the versions that nothing asked for
 
 
 def test_add_spider_refuses_a_tensor_that_is_not_copy():
@@ -467,13 +501,13 @@ def random_plan(net, gen):
 
 def laid_out(net, merges):
     """A stand-in for ``greedy_plan`` that makes the given merges the plan
-    of the network's current version: the planner's size model lays them
-    out, as it does its own."""
-    model = tn.network._Sizes(net._fuse())
-    peak = max([*model.sizes.values(), *(model.merge(a, b) for a, b in merges)], default=1)
-    left = {nid: list(ax) for nid, ax in model.axes.items()}
-    net._planned = (net._version, tuple(merges), peak, model.layouts, left)
-    return tn.network.ContractionPlan(list(merges), peak)
+    of the network's current version: a fresh record merges and lays them
+    out, as the planner does its own."""
+    program = net._fuse()
+    program.peak = max([program.peak, *(program.merge(a, b) for a, b in merges)])
+    program.merges = list(merges)
+    net._planned = program
+    return tn.network.ContractionPlan(list(merges), program.peak)
 
 
 def random_feature_network(gen):
