@@ -4,9 +4,9 @@ evaluation over the package's text file formats.
 Exit codes: 0 success, 2 input error (including a contraction refused as
 too large), 3 numerical failure (including a count of 2^53 or more, past
 exact complex128 integers) or out of memory, 4 oracle mismatch.  Set
-``TNET_LOG`` (debug/info/warning) for log verbosity; ``debug`` logs the
-network size, plan peak, planning time and contraction time of every
-count.
+``TNET_LOG`` (debug/info/warning) for log verbosity; any other value
+means warning.  ``debug`` logs the network size, plan peak, planning
+time and contraction time of every count.
 """
 
 from __future__ import annotations
@@ -221,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("TNET_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    level = logging.getLevelName(os.environ.get("TNET_LOG", "warning").upper())  # a number only for a level name
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

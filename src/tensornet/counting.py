@@ -13,15 +13,18 @@ the clause tensors only and every intermediate is indexed by distinct
 variables.  In a count a read variable's spider has one wire and no <+|
 cap, because a spider with one leg per reader already sums over the
 variable; an unused variable keeps a <+| cap, a scalar factor 2.  The
-clause pieces and the cap are built once per process, the COPY tensors
-once per network.  Counts are logged at DEBUG level on the ``tensornet``
-logger with the network size (every node and bond, spiders included), the
-plan peak, the planning time and the contraction time.
+clause pieces and the cap are built once per process, in a table keyed
+per piece by its signs, where each clause looks its pieces up; the COPY
+tensors are built once per network.  Counts are logged at DEBUG level on
+the ``tensornet`` logger with the network size (every node and bond,
+spiders included), the plan peak, the planning time and the contraction
+time.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import logging
 import math
 import operator
@@ -80,13 +83,14 @@ class CnfFormula:
             raise ValueError(f"negative number of variables: {self.num_vars}")
         kept = []
         removed = 0
+        n = self.num_vars
         for clause in self.clauses:
             clause = tuple(clause)
             if not clause:
                 raise ValueError("empty clause")
             for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise ValueError(f"literal {lit} out of range for {self.num_vars} variables")
+                if lit == 0 or abs(lit) > n:
+                    raise ValueError(f"literal {lit} out of range for {n} variables")
             if not set(clause).isdisjoint(map(operator.neg, clause)):
                 removed += 1
             else:
@@ -96,7 +100,9 @@ class CnfFormula:
 
 
 def parse_dimacs(text: str) -> CnfFormula:
-    """Parse DIMACS CNF; clauses are 0-terminated and may span lines."""
+    """Parse DIMACS CNF; clauses are 0-terminated and may span lines.  A
+    line whose first token is ``%`` ends the clause list, and what follows
+    it is ignored (SATLIB's files end with a ``%`` line and a ``0`` line)."""
     num_vars = num_clauses = None
     header_seen = False
     clauses: list[tuple[int, ...]] = []
@@ -121,9 +127,12 @@ def parse_dimacs(text: str) -> CnfFormula:
                 raise ParseError(no, "negative counts in header")
             header_seen = True
             continue
+        toks = line.split()
+        if toks[0] == "%":
+            break
         if not header_seen:
             raise ParseError(no, "clause before 'p cnf' header")
-        for tok in line.split():
+        for tok in toks:
             try:
                 lit = int(tok)
             except ValueError:
@@ -196,6 +205,8 @@ def _clause_piece(js: tuple[int, ...], positive: tuple[bool, ...], flag_in: bool
 # within the piece, so the table holds one entry per sign pattern of each
 # piece kind, however wide the clauses or many the formulas.
 _SHARED: dict[tuple, Tensor] = {}
+_AT = ((), (0,), (0, 1), (0, 1, 2))  # the positions a piece of each width reads, within the piece
+_LABELS = ("i0", "i1", "i2")  # the wires that read them
 
 
 def _shared(build, args: tuple, bra: bool) -> Tensor:
@@ -204,6 +215,17 @@ def _shared(build, args: tuple, bra: bool) -> Tensor:
     if t is None:
         t = _SHARED[build, args, bra] = dagger(build(*args)) if bra else build(*args)
     return t
+
+
+def _pieces(clause: tuple[int, ...], bra: bool) -> list[tuple[Tensor, tuple[int, ...]]]:
+    """The pieces of ``clause`` (see ``_clause_pieces``), each as its tensor
+    from the table and the literals it reads on its wires ``i0, i1, ...``.
+    A clause of width 3 or less is one piece that reads every literal."""
+    if len(clause) <= 3:
+        signs = tuple([lit > 0 for lit in clause])
+        return [(_shared(_clause_piece, (_AT[len(clause)], signs, False, False), bra), clause)]
+    return [(_shared(_clause_piece, (_AT[len(js)], *kind), bra), [clause[j] for j in js])
+            for js, *kind in _clause_pieces(clause)]
 
 
 def _formula_layer(net: TensorNetwork, f: CnfFormula, bra: bool, legs: int = 2) -> list[tuple[int, str]]:
@@ -229,30 +251,24 @@ def _formula_layer(net: TensorNetwork, f: CnfFormula, bra: bool, legs: int = 2) 
     The COPY tensors are built once per call, the clause pieces once per
     process (``_shared``), with wires ``i0, i1, ...`` by position within
     the piece; the same instance is added at every node that needs it.
+    Each clause looks its pieces up there (``_pieces``), so no per-formula
+    table is built, and each variable's read end is one tuple, made once.
     """
-    read = {abs(lit) for clause in f.clauses for lit in clause}
+    read = set(map(abs, itertools.chain.from_iterable(f.clauses)))
     orders = [legs if v in read else 1 for v in range(1, f.num_vars + 1)]
     copies = {k: dagger(catalog.copy_tensor(k, 0)) if bra else catalog.copy_tensor(k, 0) for k in set(orders)}
-    spiders = [net.add_spider(copies[k]) for k in orders]
     wire = f"o{legs - 1}"  # the spider wire that carries the reads
-
-    shapes = {}  # signs of a clause -> its pieces as (tensor, ((variable position, wire label), ...))
+    reads = [(net.add_spider(copies[k]), wire) for k in orders]  # each variable's end for its reads
     for clause in f.clauses:
-        signs = tuple(lit > 0 for lit in clause)
-        pieces = shapes.get(signs)
-        if pieces is None:
-            pieces = shapes[signs] = [(_shared(_clause_piece, (tuple(range(len(js))), *rest), bra),
-                                       tuple((j, f"i{i}") for i, j in enumerate(js)))
-                                      for js, *rest in _clause_pieces(clause)]
         prev = None
-        for t, reads in pieces:
+        for t, lits in _pieces(clause, bra):
             cid = net.add(t)
             if prev is not None:
                 net.connect((prev, "s1"), (cid, "s0"))
-            for j, label in reads:
-                net.connect((spiders[abs(clause[j]) - 1], wire), (cid, label))
+            for label, lit in zip(_LABELS, lits):
+                net.connect(reads[abs(lit) - 1], (cid, label))
             prev = cid
-    return [(nid, "o0") for v, nid in enumerate(spiders, start=1) if legs == 2 or v not in read]
+    return [(nid, "o0") for v, (nid, _) in enumerate(reads, start=1) if legs == 2 or v not in read]
 
 
 def formula_state_network(f: CnfFormula) -> tuple[TensorNetwork, list[tuple[int, str]]]:

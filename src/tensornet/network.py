@@ -36,7 +36,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import catalog
 from .errors import MAX_ELEMENTS, ShapeError, SizeLimitError, WireError
-from .tensor import UPPER, Tensor, WireSpec, conjugate, dagger, ket, raise_wire
+from .tensor import UPPER, Tensor, WireSpec, _adopt, conjugate, dagger, ket, raise_wire
 
 End = tuple[int, str]  # (node id, wire label)
 
@@ -51,11 +51,12 @@ class ContractionPlan:
 
 def _is_delta(t: Tensor) -> bool:
     """Every wire of one dimension d, 1 where all indices agree, else 0."""
-    d = t.wires[0].dim
-    if any(w.dim != d for w in t.wires):
+    data = t.data
+    d = data.shape[0]
+    if data.shape != (d,) * data.ndim:
         return False
-    flat = t.data.reshape(-1)
-    step = sum(d**j for j in range(len(t.wires)))  # flat distance from (i, ..., i) to (i+1, ..., i+1)
+    flat = data.reshape(-1)
+    step = (flat.size - 1) // (d - 1) if d > 1 else 1  # flat distance from (i, ..., i) to (i+1, ..., i+1)
     return flat[::step].tolist() == [1] * d and np.count_nonzero(flat) == d
 
 
@@ -79,15 +80,14 @@ def _loading(ns: list, keep, dims: dict) -> tuple[list, dict, int]:
             steps.append(functools.partial(np.diagonal, axis1=i, axis2=j))
             del ns[j], ns[i]
             ns.append(group)
-    axes, summed, size = {}, [], 1
-    for k, n in enumerate(ns):
+    axes, size, held = {}, 1, 0
+    for n in ns:
         if n in keep:
-            axes[n] = len(axes)
+            axes[n] = held
+            held += 1
             size *= dims[n]
-        else:
-            summed.append(k)
-    if summed:
-        steps.append(operator.methodcaller("sum", axis=tuple(summed)))
+    if held < len(ns):
+        steps.append(operator.methodcaller("sum", axis=tuple([k for k, n in enumerate(ns) if n not in keep])))
     return steps, axes, size
 
 
@@ -136,17 +136,17 @@ class _Fused:
         one ``np.matmul`` of a's array laid out (batch, free of a, summed)
         and b's laid out (batch, summed, free of b); the result holds
         (batch, free of a, free of b).  ``layouts`` gains the merge's
-        (a, b, a's axis order, a's matmul shape, b's axis order, b's matmul
-        shape, the result's dims)."""
+        (a, b, the node that keeps the result, a's axis order, a's matmul
+        shape, b's axis order, b's matmul shape, the result's dims)."""
         axes, holders, kept, dims = self.axes, self.holders, self.kept, self.dims
         keep, drop = (a, b) if a < b else (b, a)
         xa, xb = axes.pop(a), axes.pop(b)
         batch, free_a, free_b = [], [], []  # names
         batch_a, batch_b, summed_a, summed_b, order_a, order_b = [], [], [], [], [], []  # axes
-        batch_dims, summed_dims, dims_a, dims_b = [], [], [], []
+        batch_dims, dims_a, dims_b = [], [], []
+        k = 1  # the size of the summed indices
         for x, i in xa.items():
-            j = xb.get(x)
-            if j is None:
+            if x not in xb:
                 free_a.append(x)
                 order_a.append(i)
                 dims_a.append(dims[x])
@@ -155,13 +155,13 @@ class _Fused:
             if len(h) > 2 or x in kept:
                 batch.append(x)
                 batch_a.append(i)
-                batch_b.append(j)
+                batch_b.append(xb[x])
                 batch_dims.append(dims[x])
                 h.discard(drop)
             else:
                 summed_a.append(i)
-                summed_b.append(j)
-                summed_dims.append(dims[x])
+                summed_b.append(xb[x])
+                k *= dims[x]
                 del holders[x]
         for x, j in xb.items():
             if x not in xa:
@@ -174,23 +174,25 @@ class _Fused:
             h.add(keep)
         names = batch + free_a + free_b
         axes[keep] = {x: j for j, x in enumerate(names)}
-        nbatch, k, m, n = math.prod(batch_dims), math.prod(summed_dims), math.prod(dims_a), math.prod(dims_b)
+        nbatch, m, n = math.prod(batch_dims), math.prod(dims_a), math.prod(dims_b)
         del self.sizes[drop]
         self.sizes[keep] = size = nbatch * m * n
-        self.layouts.append((a, b, (*batch_a, *order_a, *summed_a), (nbatch, m, k), (*batch_b, *summed_b, *order_b),
-                             (nbatch, k, n), (*batch_dims, *dims_a, *dims_b)))
+        self.layouts.append((a, b, keep, (*batch_a, *order_a, *summed_a), (nbatch, m, k),
+                             (*batch_b, *summed_b, *order_b), (nbatch, k, n), (*batch_dims, *dims_a, *dims_b)))
         return size
 
     def run(self, nodes: dict[int, Tensor]) -> Tensor:
         """Contract the network's ``nodes`` by this record: load each node,
         replay the layout of every merge, then assemble what is left (see
-        ``TensorNetwork.contract_all``)."""
+        ``TensorNetwork.contract_all``).  When every node left is a scalar
+        and no wire is open, their product is the result as it stands."""
         arrays = {nid: _load(nodes[nid].data, steps) for nid, steps in self.steps.items()}
-        for a, b, order_a, shape_a, order_b, shape_b, dims in self.layouts:
+        matmul = np.matmul
+        for a, b, keep, order_a, shape_a, order_b, shape_b, dims in self.layouts:
             # rebinding drops each operand before the matmul, unless its layout is a view of it
             xa = arrays.pop(a).transpose(order_a).reshape(shape_a)
             xb = arrays.pop(b).transpose(order_b).reshape(shape_b)
-            arrays[min(a, b)] = np.matmul(xa, xb).reshape(dims)
+            arrays[keep] = matmul(xa, xb).reshape(dims)
 
         # multiply the scalar pieces; outer-product the others in id order
         names = self.axes  # each node left -> its names, in axis order
@@ -198,15 +200,14 @@ class _Fused:
         scalars = [arrays[nid].item() for nid in nids if not names[nid]]
         if self.scale != 1:
             scalars.append(self.scale)
+        value = functools.reduce(operator.mul, scalars) if scalars else 1.0
         pieces = [(arrays[nid], names[nid]) for nid in nids if names[nid]]
         pieces += [(np.ones(self.dims[g], dtype=complex), [g]) for g in self.loose]
-        value = functools.reduce(operator.mul, scalars) if scalars else 1.0
-        if not pieces:
-            data = np.array(value, dtype=complex)
-        else:
-            data = functools.reduce(lambda x, y: np.tensordot(x, y, axes=0), [x for x, _ in pieces])
-            if scalars:
-                data = data * value
+        if not pieces:  # then no wire is open
+            return _adopt(np.array(value, dtype=complex), ())
+        data = functools.reduce(lambda x, y: np.tensordot(x, y, axes=0), [x for x, _ in pieces])
+        if scalars:
+            data = data * value
         all_names = [n for _, ns in pieces for n in ns]
         distinct = list(dict.fromkeys(self.open_names))
         data = np.transpose(data, [all_names.index(n) for n in distinct])
@@ -246,6 +247,7 @@ class TensorNetwork:
         self._spiders: set[int] = set()
         self._bonds: list[tuple[End, End]] = []
         self._bond_of: dict[End, int] = {}  # bonded end -> index in _bonds (a spider wire: its latest)
+        self._links: list[tuple[int, int]] = []  # the node ids of every bond between two spiders
         self._next_id = 0
         self._ends = 0  # wire ends of all nodes: the network is closed when every one is bonded
         self._version = 0
@@ -288,18 +290,32 @@ class TensorNetwork:
         return t.wires[t.axis(label)]
 
     def connect(self, end_a: End, end_b: End) -> None:
-        wa, wb = self._wire(end_a), self._wire(end_b)
+        """Bond two wire ends of equal dimension and opposite flavor.  Both
+        wires are read straight from their tensors' label maps; only a bad
+        end is looked up again, to say what is wrong with it."""
+        try:
+            na, la = end_a
+            nb, lb = end_b
+            ta, tb = self._nodes[na], self._nodes[nb]
+            wa, wb = ta.wires[ta._axes[la]], tb.wires[tb._axes[lb]]
+        except (LookupError, TypeError, ValueError):
+            self._wire(end_a)  # says which end is wrong
+            self._wire(end_b)
+            raise
         if wa.dim != wb.dim:
             raise WireError(f"bond {end_a}-{end_b}: dims {wa.dim} != {wb.dim}")
         if wa.flavor is wb.flavor:
             raise WireError(f"bond {end_a}-{end_b}: both wires are {wa.flavor.value}")
-        bond_of, bonds = self._bond_of, self._bonds
-        if end_a in bond_of or end_b in bond_of:
-            for end in (end_a, end_b):
-                if end in bond_of and end[0] not in self._spiders:
-                    raise WireError(f"wire already bonded: {end}")
+        bond_of, bonds, spiders = self._bond_of, self._bonds, self._spiders
+        spider_a, spider_b = na in spiders, nb in spiders
+        if not spider_a and end_a in bond_of:
+            raise WireError(f"wire already bonded: {end_a}")
+        if not spider_b and end_b in bond_of:
+            raise WireError(f"wire already bonded: {end_b}")
         bond_of[end_a] = bond_of[end_b] = len(bonds)
         bonds.append((end_a, end_b))
+        if spider_a and spider_b:
+            self._links.append((na, nb))
         self._version += 1
 
     def open_wires(self) -> list[End]:
@@ -324,10 +340,9 @@ class TensorNetwork:
                 root[s] = s = root[root[s]]
             return s
 
-        for (na, _), (nb, _) in self._bonds:
-            if na in root and nb in root:
-                ra, rb = find(na), find(nb)
-                root[max(ra, rb)] = min(ra, rb)
+        for na, nb in self._links:
+            ra, rb = find(na), find(nb)
+            root[max(ra, rb)] = min(ra, rb)
 
         group_of = {s: -1 - find(s) for s in root}  # spider -> its group's name
         bonds, bond_of = self._bonds, self._bond_of
@@ -352,7 +367,7 @@ class TensorNetwork:
                     open_names.append(end)
                 else:
                     a, b = bonds[k]
-                    n = group_of.get((b if a == end else a)[0], k)
+                    n = group_of.get(b[0] if a == end else a[0], k)
                 ns.append(n)
                 dims[n] = w.dim
                 h = holders.get(n)
@@ -418,7 +433,8 @@ class TensorNetwork:
             return program
         program = self._fuse()
         axes, holders, sizes, dims, kept = program.axes, program.holders, program.sizes, program.dims, program.kept
-        merges, peak = program.merges, program.peak
+        merges, peak, merge = program.merges, program.peak, program.merge
+        heappush, heappop = heapq.heappush, heapq.heappop
         current = {}  # index -> the heap entry (size, sorted holders, index) of its bucket
         heap = []
 
@@ -447,25 +463,28 @@ class TensorNetwork:
                 entry = (size, tuple(sorted(group)), x)
                 if current.get(x) != entry:  # else that entry is in the heap
                     current[x] = entry
-                    heapq.heappush(heap, entry)
+                    heappush(heap, entry)
 
         push(holders)
         while heap and len(sizes) > 1:  # one node left: every entry is stale
-            entry = heapq.heappop(heap)
+            entry = heappop(heap)
             _, group, x = entry
             if current.get(x) is not entry or x not in holders:  # changed, or summed
                 continue
             del current[x]
-            queue = [(sizes[g], g) for g in group]
+            queue = [(sizes[g], g) for g in group]  # two or more
             heapq.heapify(queue)
-            while len(queue) > 1:
-                (_, a), (_, b) = heapq.heappop(queue), heapq.heappop(queue)
-                a, b = min(a, b), max(a, b)
+            while True:
+                a, b = heappop(queue)[1], heappop(queue)[1]
+                if a > b:
+                    a, b = b, a
                 merges.append((a, b))
-                merged = program.merge(a, b)
+                merged = merge(a, b)
                 if merged > peak:
                     peak = merged
-                heapq.heappush(queue, (merged, a))
+                if not queue:
+                    break
+                heappush(queue, (merged, a))
             push(axes[a], a)  # every index of the result: its bucket holds a
         program.peak = peak
         self._planned = program
@@ -493,7 +512,7 @@ class TensorNetwork:
         """
         plan = self.greedy_plan()
         program = self._plan()  # made by greedy_plan at this version
-        need = max(plan.peak_size, math.prod(program.dims[n] for n in program.open_names))
+        need = max(plan.peak_size, math.prod([program.dims[n] for n in program.open_names]))
         if need > MAX_ELEMENTS:
             raise SizeLimitError(
                 f"contraction needs a {need}-element tensor (2^{math.log2(need):.1f}), "

@@ -116,6 +116,30 @@ def test_count_sat_parse_error_exit_2(tmp_path, capsys):
     assert ":2:" in err
 
 
+def test_count_sat_satlib_file_matches_brute_force(tmp_path, capsys):
+    # SATLIB's uf20-91 and its kin end with a "%" line and a "0" line
+    f = write(tmp_path, "uf4-3.cnf", "c SATLIB style\np cnf 4 3\n 1 -2 3 0\n-1 2 4 0\n2 -3 -4 0\n%\n0\n\n")
+    assert main(["count-sat", f, "--brute-force", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["match"] is True and out["count"] == out["brute_force"] == 10
+
+
+@pytest.mark.parametrize("value", ["basic_format", "nonsense", "10"])
+def test_tnet_log_that_is_no_level_name_means_warning(tmp_path, value):
+    # logging.BASIC_FORMAT is a format string: passed on as a level, it raised
+    # "Unknown level" outside main's error handling (traceback, exit 1)
+    f = write(tmp_path, "f.cnf", "p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC), TNET_LOG=value)
+    proc = subprocess.run([sys.executable, "-m", "tensornet.cli", "count-sat", f, "--json"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["count"] == 2 and proc.stderr == ""
+    env["TNET_LOG"] = "debug"
+    proc = subprocess.run([sys.executable, "-m", "tensornet.cli", "count-sat", f, "--json"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and "count_sat:" in proc.stderr
+
+
 def test_count_sat_missing_file_exit_2(tmp_path, capsys):
     assert main(["count-sat", str(tmp_path / "nope.cnf")]) == 2
 

@@ -1,5 +1,6 @@
 """#SAT and 3-edge-coloring counts against brute-force oracles."""
 
+import gc
 import itertools
 import logging
 import math
@@ -69,6 +70,30 @@ def test_parse_dimacs_errors_carry_line_numbers(text, line):
     with pytest.raises(tn.ParseError) as err:
         tn.parse_dimacs(text)
     assert err.value.line == line
+
+
+# SATLIB's uniform random 3-SAT files (uf20-91, ...) end with a "%" line and a "0" line
+SATLIB_TAIL = "%\n0\n\n"
+
+
+def test_parse_dimacs_stops_at_satlib_trailer():
+    text = "c uf-style\np cnf 4 3\n 1 -2 3 0\n-1 2 4 0\n2 -3 -4 0\n" + SATLIB_TAIL
+    f = tn.parse_dimacs(text)
+    assert f.clauses == [(1, -2, 3), (-1, 2, 4), (2, -3, -4)]
+    assert tn.count_sat(f).count == tn.brute_force_sat(f)
+    # what follows the "%" line is never read, however malformed
+    assert tn.parse_dimacs("p cnf 2 1\n1 2 0\n% end\nfoo 0\np cnf 9 9\n").clauses == [(1, 2)]
+
+
+def test_parse_dimacs_trailer_before_the_promised_clauses_is_refused_at_its_line():
+    with pytest.raises(tn.ParseError, match="header promises 3 clauses, found 2") as err:
+        tn.parse_dimacs("p cnf 3 3\n1 2 0\n-1 3 0\n" + SATLIB_TAIL)
+    assert err.value.line == 4
+    with pytest.raises(tn.ParseError, match="missing its 0 terminator") as err:
+        tn.parse_dimacs("p cnf 3 1\n1 2\n%\n0\n")
+    assert err.value.line == 3
+    with pytest.raises(tn.ParseError, match="non-integer literal '%x'"):
+        tn.parse_dimacs("p cnf 3 1\n%x\n1 0\n")  # only a "%" token ends the list
 
 
 def test_tautological_clauses_are_removed():
@@ -413,6 +438,34 @@ def test_shared_tensor_table_does_not_grow_with_clause_width():
         boolean_norm_value(tn.CnfFormula(width, [clause[:10]]))  # a bra too
         sizes.append(len(tn.counting._SHARED))
     assert sizes[0] == sizes[1] == sizes[2]
+
+
+def test_clause_piece_table_is_bounded_over_widths_1_to_1000():
+    # each piece is looked up by its own signs and kind: at most 2 + 4 + 8 narrow
+    # pieces and 4 + 2 + 4 chain pieces, ket and bra, and the <+| cap.  A table
+    # keyed by a whole clause's signs keeps an entry for every distinct clause.
+    r = random.Random(22)
+
+    def build(widths):
+        for w in widths:
+            f = tn.CnfFormula(w, [tuple(v if r.random() < 0.5 else -v for v in range(1, w + 1)) for _ in range(4)])
+            for bra in (False, True):
+                _formula_layer(tn.TensorNetwork(), f, bra)
+        formula_to_network(f)
+
+    widths = [1, 2, 3, 4, 5, 6, 7, 10, 30, 100, 300, 1000]
+    build(widths)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        build(widths * 3)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tn.counting._SHARED) <= 2 * (2 + 4 + 8 + 4 + 2 + 4) + 1
+    assert grown < 64 * 1024, grown  # nothing kept per clause
 
 
 def test_non_finite_count_has_its_own_message():
