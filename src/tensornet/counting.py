@@ -4,26 +4,29 @@ brute-force oracle.
 
 A CNF formula becomes one clause tensor per clause (1 except 0 at the
 clause's falsifying assignment; a chain of order-3 pieces for clauses wider
-than 3) joined to one COPY tensor per variable, whose wire carries a bond to
-every clause wire that reads the variable; a graph becomes one order-3
-epsilon per node.  The COPY tensors are spiders
+than 3) joined to one one-wire COPY tensor per variable, whose wire carries
+a bond to every clause wire that reads the variable; a graph becomes one
+order-3 epsilon per node.  The COPY tensors are spiders
 (``TensorNetwork.add_spider``): the engine keeps each variable as one index
 shared by the clause tensors that read it, so a count plans and contracts
 the clause tensors only and every intermediate is indexed by distinct
-variables.  In a count a read variable's spider has one wire and no <+|
-cap, because a spider with one leg per reader already sums over the
-variable; an unused variable keeps a <+| cap, a scalar factor 2.  The
-clause pieces and the cap are built once per process, in a table keyed
-per piece by its signs, where each clause looks its pieces up; the COPY
-tensors are built once per network.  Counts are logged at DEBUG level on
-the ``tensornet`` logger with the network size (every node and bond,
-spiders included), the plan peak, the planning time and the contraction
-time.
+variables.  Every CNF network has this shape and differs only in what is
+bonded to the spiders after the clauses: a spider with one leg per reader
+already sums over the variable, so a count caps only the unused
+variables, with <+| (a scalar factor 2); |f> bonds a two-wire COPY spider
+to every variable for its open wire; <f|f> bonds each variable's ket
+spider to its bra spider.  The clause pieces are built once per process,
+in a table keyed per piece by its signs, where each clause looks its
+pieces up; the cap is built once per process and the COPY tensors once
+per network.  Counts are logged at DEBUG level on the ``tensornet``
+logger with the network size (every node and bond, spiders included), the
+plan peak, the planning time and the contraction time.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import logging
 import math
@@ -155,141 +158,122 @@ def parse_dimacs(text: str) -> CnfFormula:
     return CnfFormula(num_vars, clauses)
 
 
-def _or_table(positive: list[bool]) -> np.ndarray:
-    """0/1 table over len(positive) bits, 0 only where every bit is false:
-    0 for a positive literal, 1 for a negated one."""
-    data = np.ones((2,) * len(positive), dtype=complex)
-    data[tuple(0 if p else 1 for p in positive)] = 0.0
-    return data
-
-
-def _clause_pieces(clause: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[bool, ...], bool, bool]]:
-    """Pieces of order <= 3 whose contraction is the clause tensor (1 on
-    every assignment except the single falsifying one, where it is 0), each
-    as the arguments of ``_clause_piece`` that build it: the clause
-    positions it reads on its LOWER wires ``i<j>``, their signs, and
-    whether it reads and emits the flag below.
-
-    A clause of width w <= 3 is one such tensor.  A wider clause is a chain
-    of w - 2 pieces joined by a dimension-2 flag, 1 once some earlier
-    literal is true: the first piece reads literals 0 and 1 and emits the
-    flag on ``s1``; each middle piece reads the flag on ``s0`` and one
-    literal and emits the updated flag; the last piece reads the flag and
-    the final two literals and is 0 only when all three are false.
-    """
-    w = len(clause)
-    if w <= 3:
-        groups = [range(w)]
-    else:
-        groups = [range(0, 2)] + [range(j, j + 1) for j in range(2, w - 2)] + [range(w - 2, w)]
-    last = len(groups) - 1
-    return [(tuple(js), tuple(clause[j] > 0 for j in js), g > 0, g < last) for g, js in enumerate(groups)]
-
-
-def _clause_piece(js: tuple[int, ...], positive: tuple[bool, ...], flag_in: bool, flag_out: bool) -> Tensor:
-    """One piece of ``_clause_pieces``: reads literals ``js`` of the given
-    signs on wires ``i<j>``, plus the incoming flag on ``s0`` if
+def _piece(signs: tuple[bool, ...], flag_in: bool, flag_out: bool) -> Tensor:
+    """One clause piece: 1 except 0 where every literal it reads is false.
+    It reads literals of the given signs on its LOWER wires ``i0, i1, ...``
+    by position within the piece, plus the incoming flag on ``s0`` if
     ``flag_in``, and emits the updated flag on ``s1`` if ``flag_out``."""
-    # the incoming flag reads like a positive literal
-    data = _or_table(list(positive) + ([True] if flag_in else []))
-    wires = [WireSpec(f"i{j}", 2, LOWER) for j in js] + ([WireSpec("s0", 2, LOWER)] if flag_in else [])
+    read = signs + (True,) * flag_in  # the incoming flag reads like a positive literal
+    data = np.ones((2,) * len(read), dtype=complex)
+    data[tuple(0 if p else 1 for p in read)] = 0.0
+    wires = [WireSpec(f"i{j}", 2, LOWER) for j in range(len(signs))] + [WireSpec("s0", 2, LOWER)] * flag_in
     if flag_out:
         data = np.stack([1 - data, data], axis=-1)
         wires.append(WireSpec("s1", 2, UPPER))
     return Tensor(data, wires)
 
 
-# Clause pieces, ket and bra, and the <+| cap.  Tensors are immutable, so
-# each is built once per process and shared by every network; keyed by its
-# builder's arguments and bra.  A piece's wires are labelled by position
-# within the piece, so the table holds one entry per sign pattern of each
-# piece kind, however wide the clauses or many the formulas.
-_SHARED: dict[tuple, Tensor] = {}
-_AT = ((), (0,), (0, 1), (0, 1, 2))  # the positions a piece of each width reads, within the piece
-_LABELS = ("i0", "i1", "i2")  # the wires that read them
+# Clause pieces, ket and bra, keyed by ``_piece``'s arguments and bra.
+# Tensors are immutable, so each is built once per process and shared by
+# every network.  A piece's wires are labelled by position within the
+# piece, so the table holds one entry per sign pattern of each piece kind,
+# however wide the clauses or many the formulas.
+_SHARED: dict[tuple[tuple[bool, ...], bool, bool, bool], Tensor] = {}
 
 
-def _shared(build, args: tuple, bra: bool) -> Tensor:
-    """``build(*args)``, replaced by its dagger if ``bra``, from the table."""
-    t = _SHARED.get((build, args, bra))
-    if t is None:
-        t = _SHARED[build, args, bra] = dagger(build(*args)) if bra else build(*args)
-    return t
+@functools.cache
+def _cap() -> Tensor:
+    """<+|, the cap of an unused variable, built once per process."""
+    return dagger(catalog.plus_ket())
 
 
 def _pieces(clause: tuple[int, ...], bra: bool) -> list[tuple[Tensor, tuple[int, ...]]]:
-    """The pieces of ``clause`` (see ``_clause_pieces``), each as its tensor
-    from the table and the literals it reads on its wires ``i0, i1, ...``.
-    A clause of width 3 or less is one piece that reads every literal."""
-    if len(clause) <= 3:
-        signs = tuple([lit > 0 for lit in clause])
-        return [(_shared(_clause_piece, (_AT[len(clause)], signs, False, False), bra), clause)]
-    return [(_shared(_clause_piece, (_AT[len(js)], *kind), bra), [clause[j] for j in js])
-            for js, *kind in _clause_pieces(clause)]
+    """Pieces of order <= 3 whose contraction is the clause tensor (1 on
+    every assignment except the single falsifying one, where it is 0), each
+    as its tensor from ``_SHARED`` and the literals it reads on its wires
+    ``i0, i1, ...``, in the order the pieces chain.
+
+    A clause of width w <= 3 is one piece.  A wider clause is a chain of
+    w - 2 pieces joined by a dimension-2 flag, 1 once some earlier literal
+    is true: the first piece reads literals 0 and 1 and emits the flag on
+    ``s1``; each middle piece reads the flag on ``s0`` and one literal and
+    emits the updated flag; the last piece reads the flag and the final two
+    literals and is 0 only when all three are false.
+    """
+    groups = [clause] if len(clause) <= 3 else [clause[:2], *[(lit,) for lit in clause[2:-2]], clause[-2:]]
+    last = len(groups) - 1
+    out = []
+    for g, lits in enumerate(groups):
+        key = (tuple([lit > 0 for lit in lits]), g > 0, g < last, bra)
+        t = _SHARED.get(key)
+        if t is None:
+            t = _SHARED[key] = dagger(_piece(*key[:3])) if bra else _piece(*key[:3])
+        out.append((t, lits))
+    return out
 
 
-def _formula_layer(net: TensorNetwork, f: CnfFormula, bra: bool, legs: int = 2) -> list[tuple[int, str]]:
-    """Add the clause-tensor network of f to ``net``.
+def _formula_layer(net: TensorNetwork, f: CnfFormula, bra: bool) -> list[tuple[int, str]]:
+    """Add the clause-tensor network of f to ``net``; return every
+    variable's end, in variable order.
 
     Every clause is one clause tensor, or for clauses wider than 3 a chain
-    of order-3 pieces (see ``_clause_pieces``).  Every variable is one COPY
-    spider.  With ``legs=2`` it is ``copy_tensor(2, 0)`` if some clause
-    reads it, else ``copy_tensor(1, 0)``: its ``o0`` is the open state
-    wire, and every clause wire that reads the variable is bonded to its
-    ``o1``.  With ``legs=1`` every variable is ``copy_tensor(1, 0)``, and
-    a read variable's only wire ``o0`` carries every read, so it is closed.
-    By spider fusion a spider wire with a bond per reader is one spider
-    with a leg per reader, and the engine keeps it as one index shared by
-    its readers, so it plans and contracts the clause tensors only.
+    of order-3 pieces (see ``_pieces``).  Every variable is one
+    ``copy_tensor(1, 0)`` spider, and every clause wire that reads the
+    variable is bonded to its only wire ``o0``, which is that variable's
+    end.  By spider fusion a spider wire with a bond per reader is one
+    spider with a leg per reader, and the engine keeps it as one index
+    shared by its readers, so it plans and contracts the clause tensors
+    only.  A read variable's end is closed (the spider sums over it); the
+    callers bond what each network needs to the ends after the clauses, so
+    the ids of the spiders and clause tensors, and hence the plans, are the
+    same in every network of f.  With ``bra=True`` every tensor is replaced
+    by its dagger, producing <f|; bonds join wires by label, so the
+    reversed wire order does not matter.
 
-    Returns the open variable ends in variable order: every variable's
-    with ``legs=2`` (the state wires of |f>), the unused variables' with
-    ``legs=1``.  With ``bra=True`` every tensor is replaced by its dagger,
-    producing <f|; bonds join wires by label, so the reversed wire order
-    does not matter.
-
-    The COPY tensors are built once per call, the clause pieces once per
-    process (``_shared``), with wires ``i0, i1, ...`` by position within
-    the piece; the same instance is added at every node that needs it.
-    Each clause looks its pieces up there (``_pieces``), so no per-formula
-    table is built, and each variable's read end is one tuple, made once.
+    The COPY tensor is built once per call, the clause pieces once per
+    process (``_SHARED``); the same instance is added at every node that
+    needs it.
     """
-    read = set(map(abs, itertools.chain.from_iterable(f.clauses)))
-    orders = [legs if v in read else 1 for v in range(1, f.num_vars + 1)]
-    copies = {k: dagger(catalog.copy_tensor(k, 0)) if bra else catalog.copy_tensor(k, 0) for k in set(orders)}
-    wire = f"o{legs - 1}"  # the spider wire that carries the reads
-    reads = [(net.add_spider(copies[k]), wire) for k in orders]  # each variable's end for its reads
+    copy = dagger(catalog.copy_tensor(1, 0)) if bra else catalog.copy_tensor(1, 0)
+    ends = [(net.add_spider(copy), "o0") for _ in range(f.num_vars)]
     for clause in f.clauses:
         prev = None
         for t, lits in _pieces(clause, bra):
             cid = net.add(t)
             if prev is not None:
                 net.connect((prev, "s1"), (cid, "s0"))
-            for label, lit in zip(_LABELS, lits):
-                net.connect(reads[abs(lit) - 1], (cid, label))
+            for j, lit in enumerate(lits):
+                net.connect(ends[abs(lit) - 1], (cid, f"i{j}"))
             prev = cid
-    return [(nid, "o0") for v, (nid, _) in enumerate(reads, start=1) if legs == 2 or v not in read]
+    return ends
 
 
 def formula_state_network(f: CnfFormula) -> tuple[TensorNetwork, list[tuple[int, str]]]:
-    """Network for the unnormalized Boolean state |f> = sum_x f(x)|x>."""
+    """Network for the unnormalized Boolean state |f> = sum_x f(x)|x>: one
+    ``copy_tensor(1, 1)`` spider on each variable's end, whose ``o0`` is
+    the variable's open state wire."""
     net = TensorNetwork()
-    ends = _formula_layer(net, f, bra=False)
-    return net, ends
+    opener = catalog.copy_tensor(1, 1)
+    wires = []
+    for end in _formula_layer(net, f, bra=False):
+        nid = net.add_spider(opener)
+        net.connect(end, (nid, "i0"))
+        wires.append((nid, "o0"))
+    return net, wires
 
 
 def formula_to_network(f: CnfFormula) -> TensorNetwork:
     """Fully closed network whose contraction is sum_x f(x).
 
-    Each variable that some clause reads is a one-leg COPY spider bonded
-    to every clause wire that reads it: by spider fusion that spider is
-    the sum over the variable, the <+| = <0| + <1| cap of |f>'s wire.  An
-    unused variable keeps its spider and <+| cap, a factor 2.
+    A read variable's spider is the sum over the variable, the
+    <+| = <0| + <1| cap of |f>'s wire, by spider fusion.  An unused
+    variable's spider gets a <+| cap, a factor 2.
     """
     net = TensorNetwork()
-    plus = _shared(catalog.plus_ket, (), True)
-    for end in _formula_layer(net, f, bra=False, legs=1):
-        net.connect(end, (net.add_spider(plus), "o0"))
+    read = set(map(abs, itertools.chain.from_iterable(f.clauses)))
+    for v, end in enumerate(_formula_layer(net, f, bra=False), start=1):
+        if v not in read:
+            net.connect(end, (net.add_spider(_cap()), "o0"))
     return net
 
 
@@ -483,10 +467,7 @@ def brute_force_colorings(g: Graph) -> int:
     m = len(g.edges)
     if m > COLOR_GUARD_EDGES:
         raise SizeLimitError(f"brute force limited to {COLOR_GUARD_EDGES} edges, got {m}")
-    incid: list[list[int]] = [[] for _ in range(g.num_nodes)]
-    for idx, (u, v) in enumerate(g.edges):
-        incid[u].append(idx)
-        incid[v].append(idx)
+    incid = _incidence_orders(g)  # the all-distinct test below is symmetric: any order will do
     total = 0
     chunk = 3**13
     for start in range(0, 3**m, chunk):

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateTrimError, ShapeError, WireError
-from .tensor import LOWER, UPPER, Tensor, WireSpec
+from .tensor import LOWER, UPPER, Tensor, WireSpec, _as_map
 
 RANK_TOL = 1e-12  # sigma counts toward rank iff sigma > RANK_TOL * sigma_max
 
@@ -100,13 +100,9 @@ def svd_matrix(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def svd(m: Tensor) -> SvdResult:
     """SVD of an order-(1,1) tensor, m = u . diag(sigma) . v_dag."""
-    if m.order != (1, 1):
-        raise ShapeError(f"svd needs an order-(1,1) tensor, got {m.order}")
-    i_up = next(i for i, w in enumerate(m.wires) if w.flavor is UPPER)
-    arr = m.data if i_up == 0 else m.data.T
+    arr, wu, wl = _as_map(m, "svd")
     u, s, v_dag = svd_matrix(arr)
     k = s.size
-    wu, wl = m.wires[i_up], m.wires[1 - i_up]
     u_t = Tensor(u, [WireSpec(wu.label, wu.dim, UPPER), WireSpec("bond", k, LOWER)])
     v_t = Tensor(v_dag, [WireSpec("bond", k, UPPER), WireSpec(wl.label, wl.dim, LOWER)])
     return SvdResult(u_t, s, v_t)

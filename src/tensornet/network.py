@@ -198,15 +198,15 @@ class _Fused:
         names = self.axes  # each node left -> its names, in axis order
         nids = sorted(arrays)
         scalars = [arrays[nid].item() for nid in nids if not names[nid]]
-        if self.scale != 1:
-            scalars.append(self.scale)
         value = functools.reduce(operator.mul, scalars) if scalars else 1.0
+        if self.scale != 1 and value:  # 0 stays 0 past a scale that overflows to inf
+            value *= self.scale
         pieces = [(arrays[nid], names[nid]) for nid in nids if names[nid]]
         pieces += [(np.ones(self.dims[g], dtype=complex), [g]) for g in self.loose]
         if not pieces:  # then no wire is open
             return _adopt(np.array(value, dtype=complex), ())
         data = functools.reduce(lambda x, y: np.tensordot(x, y, axes=0), [x for x, _ in pieces])
-        if scalars:
+        if scalars or self.scale != 1:
             data = data * value
         all_names = [n for _, ns in pieces for n in ns]
         distinct = list(dict.fromkeys(self.open_names))

@@ -336,17 +336,19 @@ def lower_wire(a: Tensor, label: str) -> Tensor:
     return bend(a, label, LOWER)
 
 
+def _as_map(a: Tensor, what: str) -> tuple[np.ndarray, WireSpec, WireSpec]:
+    """An order-(1,1) tensor as its (upper, lower) array, its upper wire
+    and its lower wire; ``what`` names the caller in the error."""
+    if a.order != (1, 1):
+        raise ShapeError(f"{what} needs an order-(1,1) tensor, got {a.order}")
+    i_up = 0 if a.wires[0].flavor is UPPER else 1
+    return (a.data if i_up == 0 else a.data.T), a.wires[i_up], a.wires[1 - i_up]
+
+
 def transpose_map(a: Tensor) -> Tensor:
     """Transpose an order-(1,1) tensor (cup-cap conjugation)."""
-    up, low = a.order
-    if (up, low) != (1, 1):
-        raise ShapeError(f"transpose_map needs an order-(1,1) tensor, got {a.order}")
-    i_up = next(i for i, w in enumerate(a.wires) if w.flavor is UPPER)
-    i_low = 1 - i_up
-    wu, wl = a.wires[i_up], a.wires[i_low]
-    m = a.data if i_up == 0 else a.data.T  # (upper, lower) layout
-    wires = [WireSpec(wu.label, wl.dim, UPPER), WireSpec(wl.label, wu.dim, LOWER)]
-    return Tensor(m.T, wires)
+    m, wu, wl = _as_map(a, "transpose_map")
+    return Tensor(m.T, [WireSpec(wu.label, wl.dim, UPPER), WireSpec(wl.label, wu.dim, LOWER)])
 
 
 def permute(a: Tensor, order: Sequence[str] | Sequence[int]) -> Tensor:
@@ -384,13 +386,7 @@ def vectorize(a: Tensor) -> Tensor:
     Both result wires are UPPER; flattened row-major this is the rowwise
     vectorization of the matrix.
     """
-    up, low = a.order
-    if (up, low) != (1, 1):
-        raise ShapeError(f"vectorize needs an order-(1,1) tensor, got {a.order}")
-    i_up = next(i for i, w in enumerate(a.wires) if w.flavor is UPPER)
-    m = a.data if i_up == 0 else a.data.T
-    wu = a.wires[i_up]
-    wl = a.wires[1 - i_up]
+    m, wu, wl = _as_map(a, "vectorize")
     return Tensor(m, [WireSpec(wu.label, wu.dim, UPPER), WireSpec(wl.label, wl.dim, UPPER)])
 
 

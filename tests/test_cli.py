@@ -176,10 +176,18 @@ def test_count_sat_past_exact_integers_exit_3(tmp_path, capsys):
 
 
 def test_count_sat_overflowing_count_exit_3(tmp_path, capsys):
-    # 2^1100 overflows complex128 to NaN; refused like any count past 2^53
+    # 2^1100 overflows complex128 to inf; refused like any count past 2^53
     f = write(tmp_path, "empty.cnf", "p cnf 1100 0\n")
     assert main(["count-sat", f]) == 3
     assert "2^53" in capsys.readouterr().err
+
+
+def test_count_sat_unsatisfiable_with_1100_variables_counts_0(tmp_path, capsys):
+    # 1099 unused variables: their factor 2^1099 overflows to inf, and a count
+    # of 0 must not become NaN (exit 3)
+    f = write(tmp_path, "unsat.cnf", "p cnf 1100 2\n1 0\n-1 0\n")
+    assert main(["count-sat", f, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 0
 
 
 def test_count_sat_on_20000_unused_variables_finishes(tmp_path):

@@ -14,8 +14,6 @@ import pytest
 
 import tensornet as tn
 from tensornet.counting import (
-    _clause_piece,
-    _clause_pieces,
     _formula_layer,
     boolean_norm_value,
     formula_state_network,
@@ -238,6 +236,34 @@ def test_merges_free_their_operands_before_the_matmul(seed):
     assert peak <= 3.1 * peak_bytes, peak / peak_bytes
 
 
+def reference_clause_pieces(clause):
+    """The pieces of a clause as the COPY-chain builder split it, kept as an
+    oracle apart from ``counting._pieces``: each piece's clause positions,
+    their signs, and whether it reads and emits the flag."""
+    w = len(clause)
+    if w <= 3:
+        groups = [range(w)]
+    else:
+        groups = [range(0, 2)] + [range(j, j + 1) for j in range(2, w - 2)] + [range(w - 2, w)]
+    last = len(groups) - 1
+    return [(tuple(js), tuple(clause[j] > 0 for j in js), g > 0, g < last) for g, js in enumerate(groups)]
+
+
+def reference_clause_piece(js, positive, flag_in, flag_out):
+    """One piece of ``reference_clause_pieces``: 0 only where every literal
+    it reads (on wires ``i<j>``, j its clause position) and the incoming
+    flag (on ``s0``, read like a positive literal) are false; it emits the
+    updated flag on ``s1`` if ``flag_out``."""
+    bits = list(positive) + ([True] if flag_in else [])
+    data = np.ones((2,) * len(bits), dtype=complex)
+    data[tuple(0 if p else 1 for p in bits)] = 0.0
+    wires = [tn.WireSpec(f"i{j}", 2, tn.LOWER) for j in js] + ([tn.WireSpec("s0", 2, tn.LOWER)] if flag_in else [])
+    if flag_out:
+        data = np.stack([1 - data, data], axis=-1)
+        wires.append(tn.WireSpec("s1", 2, tn.UPPER))
+    return tn.Tensor(data, wires)
+
+
 def reference_formula_layer(net, f, bra):
     """``_formula_layer`` as it was before it took fewer Python steps, kept
     as the oracle for the networks it builds: the same nodes, tensor
@@ -271,8 +297,8 @@ def reference_formula_layer(net, f, bra):
 
     for clause in f.clauses:
         prev = None
-        for js, positive, flag_in, flag_out in _clause_pieces(clause):
-            cid = node(net.add, _clause_piece, js, positive, flag_in, flag_out)
+        for js, positive, flag_in, flag_out in reference_clause_pieces(clause):
+            cid = node(net.add, reference_clause_piece, js, positive, flag_in, flag_out)
             if prev is not None:
                 net.connect((prev, "s1"), (cid, "s0"))
             for j in js:
@@ -293,20 +319,72 @@ def reference_formula_network(f):
 @pytest.mark.parametrize("seed", range(6))
 def test_formula_layer_builds_the_reference_network(seed):
     # one spider per variable against the reference's COPY chains: node ids
-    # differ, so compare the open ends, the contracted |f> and <f|, and the plans
+    # differ, so compare the ends, the contracted |f> and <f|, and the plans
     gen = np.random.default_rng(seed)
+    opener = tn.copy_tensor(1, 1)
     for k in range(8):
         n = int(gen.integers(1, 10))
         widths = gen.integers(1, 8 if k % 2 else 4, size=int(gen.integers(0, 3 * n)))
         f = tn.CnfFormula(n, [tuple(int(v) * int(gen.choice([-1, 1])) for v in gen.choice(n, size=min(int(w), n), replace=False) + 1)
                               for w in widths])
+        read = {abs(lit) for clause in f.clauses for lit in clause}
         for bra in (False, True):
             net, expect = tn.TensorNetwork(), tn.TensorNetwork()
-            assert len(_formula_layer(net, f, bra)) == len(reference_formula_layer(expect, f, bra)) == n
+            ends = _formula_layer(net, f, bra)
+            assert len(reference_formula_layer(expect, f, bra)) == n
+            # every variable's spider end, added first; only the unread ones are open
+            assert ends == [(v, "o0") for v in range(n)]
+            assert net.open_wires() == [end for v, end in enumerate(ends, start=1) if v not in read]
+            for end in ends:  # an open wire on every variable, as the reference's chain heads
+                net.connect(end, (net.add_spider(tn.dagger(opener) if bra else opener), "i0"))
             out, ref = net.contract_all(), expect.contract_all()
             assert [(w.dim, w.flavor) for w in out.wires] == [(w.dim, w.flavor) for w in ref.wires]
             assert out.data.tobytes() == ref.data.tobytes()
             assert net.greedy_plan().peak_size == expect.greedy_plan().peak_size
+
+
+def merges_by_rank(net):
+    """The merges of net's plan, each node named by its rank among the
+    nodes that are not spiders (the clause pieces, caps aside)."""
+    rank = {nid: k for k, nid in enumerate(sorted(set(net.nodes) - net._spiders))}
+    return [(rank[a], rank[b]) for a, b in net.greedy_plan().merges]
+
+
+def reference_networks(f):
+    """The count, |f> and <f|f> networks of f on the COPY chains of
+    ``reference_formula_layer``."""
+    state, norm = tn.TensorNetwork(), tn.TensorNetwork()
+    reference_formula_layer(state, f, bra=False)
+    for ket_end, bra_end in zip(reference_formula_layer(norm, f, bra=False), reference_formula_layer(norm, f, bra=True)):
+        norm.connect(ket_end, bra_end)
+    return [reference_formula_network(f), state, norm]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_count_state_and_norm_networks_plan_and_contract_as_the_reference_chains(seed):
+    # clauses of width 1-7 with repeated literals, and unused variables: the
+    # one-spider networks merge the clause pieces in the reference's order,
+    # to the same peak and the same bytes
+    r = random.Random(seed)
+    unused = repeated = 0
+    for _ in range(15):
+        n = r.randint(1, 9)
+        clauses = [tuple(r.choice([-1, 1]) * r.randint(1, n) for _ in range(r.randint(1, 7))) for _ in range(r.randint(0, 3 * n))]
+        f = tn.CnfFormula(n, [c for c in clauses if set(c).isdisjoint(-lit for lit in c)])
+        unused += len({abs(lit) for c in f.clauses for lit in c}) < n
+        repeated += any(len(set(c)) < len(c) for c in f.clauses)
+        norm = tn.TensorNetwork()
+        for ket_end, bra_end in zip(_formula_layer(norm, f, bra=False), _formula_layer(norm, f, bra=True)):
+            norm.connect(ket_end, bra_end)
+        nets = [formula_to_network(f), formula_state_network(f)[0], norm]
+        for net, ref in zip(nets, reference_networks(f)):
+            assert merges_by_rank(net) == merges_by_rank(ref)
+            assert net.greedy_plan().peak_size == ref.greedy_plan().peak_size
+            out, expect = net.contract_all(), ref.contract_all()
+            assert [(w.dim, w.flavor) for w in out.wires] == [(w.dim, w.flavor) for w in expect.wires]
+            assert out.data.tobytes() == expect.data.tobytes()
+        assert tn.count_sat(f).count == boolean_norm_value(f) == tn.brute_force_sat(f)
+    assert unused >= 3 and repeated >= 3, (unused, repeated)
 
 
 @pytest.mark.parametrize("num_vars, num_clauses", [(8, 16), (20, 85), (30, 128), (50, 100), (50, 213)])
@@ -357,7 +435,7 @@ def test_counts_at_or_above_2_53_are_refused():
     with pytest.raises(tn.NonIntegralError):
         tn.count_sat(tn.CnfFormula(53, []))
     assert tn.count_sat(tn.CnfFormula(53, [tuple(range(1, 54))])).count == 2**53 - 1
-    # 2^1100 overflows the float range: the raw value is NaN, refused the same
+    # 2^1100 overflows the float range: the raw value is inf, refused the same
     # way, without numpy's overflow warnings (errors under tier-1)
     with pytest.raises(tn.NonIntegralError, match="2\\^53"):
         tn.count_sat(tn.CnfFormula(1100, []))
@@ -408,8 +486,9 @@ def test_count_network_plans_and_contracts_as_the_capped_reference(f):
     assert plan.peak_size == ref.peak_size
     if plan.peak_size <= 2**16:
         assert net.contract_all().data.tobytes() == expect.contract_all().data.tobytes()
+    # the reference adds an opener and a cap to every variable, the count caps the unread ones
     read = {abs(lit) for clause in f.clauses for lit in clause}
-    assert len(net.nodes) == len(expect.nodes) - len(read)
+    assert len(net.nodes) == len(expect.nodes) - f.num_vars - len(read)
     assert net.open_wires() == []
 
 
@@ -442,8 +521,8 @@ def test_shared_tensor_table_does_not_grow_with_clause_width():
 
 def test_clause_piece_table_is_bounded_over_widths_1_to_1000():
     # each piece is looked up by its own signs and kind: at most 2 + 4 + 8 narrow
-    # pieces and 4 + 2 + 4 chain pieces, ket and bra, and the <+| cap.  A table
-    # keyed by a whole clause's signs keeps an entry for every distinct clause.
+    # pieces and 4 + 2 + 4 chain pieces, ket and bra.  A table keyed by a
+    # whole clause's signs keeps an entry for every distinct clause.
     r = random.Random(22)
 
     def build(widths):
@@ -464,8 +543,18 @@ def test_clause_piece_table_is_bounded_over_widths_1_to_1000():
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(tn.counting._SHARED) <= 2 * (2 + 4 + 8 + 4 + 2 + 4) + 1
+    assert len(tn.counting._SHARED) <= 2 * (2 + 4 + 8 + 4 + 2 + 4)
     assert grown < 64 * 1024, grown  # nothing kept per clause
+
+
+@pytest.mark.parametrize("num_vars", [1024, 1025, 1100])
+def test_unsatisfiable_formula_with_many_unused_variables_counts_0(num_vars):
+    # the unused variables' factor 2^(n-1) overflows to inf past n = 1024: a
+    # product of 0 with it read NaN, refused as past the float range
+    f = tn.CnfFormula(num_vars, [(1,), (-1,)])
+    assert tn.count_sat(f).count == 0
+    assert boolean_norm_value(f) == 0
+    assert formula_to_network(f).contract_all().data.tobytes() == np.array(0, dtype=complex).tobytes()
 
 
 def test_non_finite_count_has_its_own_message():
