@@ -7,8 +7,10 @@ clause wider than 3 is split into a chain of order-3 pieces passing on a
 hands its value to every clause it appears in: one wire of the spider
 carries a bond to each of them, which by spider fusion is the same as a
 spider with one leg per clause, so no tensor in the network has more than
-3 wires.  Summing over all assignments is closing every variable wire with
-the unnormalized <+|.
+3 wires.  Summing over all assignments is each spider's own sum over its
+index, once its wire is bonded.  Only a variable that no clause reads
+keeps an unbonded spider wire; that one is closed with the unnormalized
+<+|, a factor of 2.
 """
 
 import tensornet as tn

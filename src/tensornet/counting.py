@@ -26,6 +26,7 @@ plan peak, the planning time and the contraction time.
 from __future__ import annotations
 
 import cmath
+import collections
 import functools
 import itertools
 import logging
@@ -432,9 +433,10 @@ def coloring_network(g: Graph, node_orders: list[list[int]] | None = None) -> Te
     neighbor id.  The sign of individual terms, and hence the planar
     guarantee, depends on this order.
     """
-    for v, d in enumerate(g.degrees()):
-        if d != 3:
-            raise ShapeError(f"graph is not 3-regular: node {v} has degree {d}")
+    deg = collections.Counter(v for edge in g.edges for v in edge)  # no list over every declared node
+    for v in range(g.num_nodes):
+        if deg[v] != 3:
+            raise ShapeError(f"graph is not 3-regular: node {v} has degree {deg[v]}")
     if node_orders is not None and len(node_orders) != g.num_nodes:
         raise ShapeError(f"node_orders has {len(node_orders)} entries for {g.num_nodes} nodes")
     orders = node_orders if node_orders is not None else _incidence_orders(g)

@@ -20,6 +20,12 @@ A network built by hand is written as its index formula: ``from_terms``
 takes (tensor, keys) terms, one node each, and bonds the two wires that
 carry one key, as in einsum subscripts.  The invariants here, the AKLT
 chain and the Penrose colouring network are built this way.
+
+This is the package's one contraction engine.  ``contract``,
+``tensor_product`` and ``trace`` are networks of one or two nodes run by
+``contract_all``, so they share its checks, its element budget
+(``MAX_ELEMENTS``) and its one rule for open-wire labels: a label already
+taken by an earlier open wire gets the first free suffix ``_1``, ``_2``, ...
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import heapq
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -113,7 +120,7 @@ class _Fused:
     other index of the pair stays, once.
     """
 
-    version: int  # the network version it was built at
+    version: int  # the network version it was built at: its node count plus its bond count
     steps: dict[int, list]  # node -> the steps that load its array, from its wires' names (see _loading)
     axes: dict[int, dict]  # node left -> each name its array holds -> that name's axis
     sizes: dict[int, int]  # node left -> the size of its array
@@ -218,11 +225,11 @@ class _Fused:
             strides = [sum(s for s, m in zip(full.strides, self.open_names) if m == n) for n in distinct]
             as_strided(full, data.shape, strides)[...] = data
             data = full
-        wires = []
-        taken = set()
-        for nid, label in self.open_ends:
-            w = nodes[nid].wire(label)
-            lab = label if label not in taken else f"n{nid}:{label}"
+        wires, taken = [], set()
+        for nid, label in self.open_ends:  # a label already taken gets the first free suffix _1, _2, ...
+            w, lab, k = nodes[nid].wire(label), label, 1
+            while lab in taken:
+                lab, k = f"{label}_{k}", k + 1
             taken.add(lab)
             wires.append(WireSpec(lab, w.dim, w.flavor))
         return Tensor(data, wires)
@@ -237,9 +244,10 @@ class TensorNetwork:
     bonded to k legs of one bigger spider.  Nodes may be mutated (added,
     connected) until contraction, which is a pure function of the network.
     Every ``add``, ``add_spider`` and ``connect`` starts a new version of
-    the network.  Each version has one record (``_Fused``), fused and
-    planned the first time ``greedy_plan``, ``contract_all`` or
-    ``open_wires`` asks for it.
+    the network: it adds one node or one bond, and none is ever removed,
+    so the node count plus the bond count names the version.  Each version
+    has one record (``_Fused``), fused and planned the first time
+    ``greedy_plan``, ``contract_all`` or ``open_wires`` asks for it.
     """
 
     def __init__(self):
@@ -248,16 +256,12 @@ class TensorNetwork:
         self._bonds: list[tuple[End, End]] = []
         self._bond_of: dict[End, int] = {}  # bonded end -> index in _bonds (a spider wire: its latest)
         self._links: list[tuple[int, int]] = []  # the node ids of every bond between two spiders
-        self._next_id = 0
         self._ends = 0  # wire ends of all nodes: the network is closed when every one is bonded
-        self._version = 0
         self._deltas: dict[int, Tensor] = {}  # id -> tensor checked by add_spider
         self._planned: _Fused | None = None  # the latest version's planned record: see _plan
 
     def add(self, t: Tensor) -> int:
-        nid = self._next_id
-        self._next_id += 1
-        self._version += 1
+        nid = len(self._nodes)  # nodes are never removed
         self._ends += len(t.wires)
         self._nodes[nid] = t
         return nid
@@ -316,7 +320,6 @@ class TensorNetwork:
         bonds.append((end_a, end_b))
         if spider_a and spider_b:
             self._links.append((na, nb))
-        self._version += 1
 
     def open_wires(self) -> list[End]:
         """Unbonded wire ends, by node id, then in wire order."""
@@ -391,8 +394,8 @@ class TensorNetwork:
         steps, axes, sizes = {}, {}, {}
         for nid, ns in wires.items():
             steps[nid], axes[nid], sizes[nid] = _loading(ns, holders, dims)
-        return _Fused(self._version, steps, axes, sizes, holders, dims, kept, open_ends, open_names, loose, scale,
-                      max(sizes.values(), default=1))
+        return _Fused(len(self._nodes) + len(self._bonds), steps, axes, sizes, holders, dims, kept, open_ends,
+                      open_names, loose, scale, max(sizes.values(), default=1))
 
     def greedy_plan(self) -> ContractionPlan:
         """Deterministic plan by index elimination on the fused network.
@@ -429,7 +432,7 @@ class TensorNetwork:
         ``_fuse`` and merged in place by the greedy of ``greedy_plan``, so
         its ``axes`` then hold the nodes left after the merges."""
         program = self._planned
-        if program is not None and program.version == self._version:
+        if program is not None and program.version == len(self._nodes) + len(self._bonds):
             return program
         program = self._fuse()
         axes, holders, sizes, dims, kept = program.axes, program.holders, program.sizes, program.dims, program.kept
@@ -519,6 +522,44 @@ class TensorNetwork:
                 f"over the limit of 2^{math.log2(MAX_ELEMENTS):.0f} elements"
             )
         return program.run(self._nodes)
+
+
+# -- one or two tensors as a network -----------------------------------
+
+
+def contract(a: Tensor, pairs: Iterable[tuple[str, str]], b: Tensor | None = None) -> Tensor:
+    """Sum over the paired wires: the network of ``a`` (and ``b``) with one
+    bond per pair, run by ``contract_all``.
+
+    With ``b`` given, each pair joins a wire of ``a`` to a wire of ``b``;
+    otherwise both ends name wires of ``a`` (self-contraction).  Surviving
+    wires keep their relative order, ``a``'s before ``b``'s, and a label
+    already taken gets the first free suffix ``_1``, ``_2``, ...  ``connect``
+    checks each pair, and ``contract_all`` refuses a merge or result of
+    more than ``MAX_ELEMENTS`` elements before it allocates.
+    """
+    net = TensorNetwork()
+    na = net.add(a)
+    nb = na if b is None else net.add(b)
+    used: set[End] = set()
+    for la, lb in pairs:
+        ends = (na, la), (nb, lb)
+        if ends[0] == ends[1] or not used.isdisjoint(ends):
+            raise WireError(f"wire reused in contraction pairs: ({la!r}, {lb!r})")
+        used.update(ends)
+        net.connect(*ends)
+    return net.contract_all()
+
+
+def tensor_product(a: Tensor, b: Tensor) -> Tensor:
+    """Kronecker-structured product; ``a``'s wires followed by ``b``'s,
+    labeled by :func:`contract`'s rule (it is ``contract`` over no pairs)."""
+    return contract(a, [], b)
+
+
+def trace(a: Tensor, pairs: Iterable[tuple[str, str]]) -> Tensor:
+    """Partial trace over (UPPER, LOWER) wire pairs of equal dimension."""
+    return contract(a, pairs)
 
 
 # -- networks written as index formulas -------------------------------

@@ -7,6 +7,10 @@ wires are inputs (legs, bra-like indices).  Contraction always joins an
 UPPER wire to a LOWER wire of the same dimension; converting between the
 two flavors is an explicit operation (:func:`bend`), which keeps the snake
 equation a testable statement instead of a silent convention.
+
+This module has no contraction of its own: ``contract``, ``tensor_product``
+and ``trace`` build a network of one or two nodes and run it through the
+one engine, ``network.TensorNetwork``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import itertools
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -237,79 +241,6 @@ def matrix(m, out_label: str = "out", in_label: str = "in") -> Tensor:
 
 
 # -- primitive operations ---------------------------------------------
-
-
-def tensor_product(a: Tensor, b: Tensor) -> Tensor:
-    """Kronecker-structured product; ``a``'s wires followed by ``b``'s.
-
-    This is :func:`contract` over no pairs, so label collisions are
-    resolved by its rule: a colliding label of ``b`` gets the first free
-    suffix ``_1``, ``_2``, ...
-    """
-    return contract(a, [], b)
-
-
-def _check_pair(wa: WireSpec, wb: WireSpec):
-    if wa.dim != wb.dim:
-        raise WireError(f"cannot contract {wa.label!r} (dim {wa.dim}) with {wb.label!r} (dim {wb.dim})")
-    if wa.flavor is wb.flavor:
-        raise WireError(
-            f"cannot contract {wa.label!r} with {wb.label!r}: both are {wa.flavor.value}; bend one first"
-        )
-
-
-def contract(a: Tensor, pairs: Iterable[tuple[str, str]], b: Tensor | None = None) -> Tensor:
-    """Sum over the paired wires.
-
-    With ``b`` given, each pair joins a wire of ``a`` to a wire of ``b``;
-    otherwise both ends name wires of ``a`` (self-contraction).  Surviving
-    wires keep their relative order, ``a``'s before ``b``'s.
-    """
-    pairs = list(pairs)
-    if b is None:
-        used: set[str] = set()
-        for la, lb in pairs:
-            if la in used or lb in used or la == lb:
-                raise WireError(f"wire reused in contraction pairs: ({la!r}, {lb!r})")
-            used.update((la, lb))
-            _check_pair(a.wire(la), a.wire(lb))
-        subs = list(range(len(a.wires)))
-        for la, lb in pairs:
-            subs[a.axis(lb)] = subs[a.axis(la)]
-        keep = [i for i, w in enumerate(a.wires) if w.label not in used]
-        data = np.einsum(a.data, subs, [subs[i] for i in keep])
-        return Tensor(data, [a.wires[i] for i in keep])
-
-    used_a: set[str] = set()
-    used_b: set[str] = set()
-    for la, lb in pairs:
-        if la in used_a or lb in used_b:
-            raise WireError(f"wire reused in contraction pairs: ({la!r}, {lb!r})")
-        used_a.add(la)
-        used_b.add(lb)
-        _check_pair(a.wire(la), b.wire(lb))
-    axes_a = [a.axis(la) for la, _ in pairs]
-    axes_b = [b.axis(lb) for _, lb in pairs]
-    data = np.tensordot(a.data, b.data, axes=(axes_a, axes_b))
-    keep_a = [w for w in a.wires if w.label not in used_a]
-    keep_b = [w for w in b.wires if w.label not in used_b]
-    # disambiguate surviving labels across the two operands
-    taken = {w.label for w in keep_a}
-    out_b = []
-    for w in keep_b:
-        lab = w.label
-        k = 1
-        while lab in taken:
-            lab = f"{w.label}_{k}"
-            k += 1
-        taken.add(lab)
-        out_b.append(WireSpec(lab, w.dim, w.flavor))
-    return Tensor(data, keep_a + out_b)
-
-
-def trace(a: Tensor, pairs: Iterable[tuple[str, str]]) -> Tensor:
-    """Partial trace over (UPPER, LOWER) wire pairs of equal dimension."""
-    return contract(a, pairs)
 
 
 def bend(a: Tensor, label: str, direction: Flavor) -> Tensor:

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +269,23 @@ def test_color_count_not_3_regular_error_names_one_node(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.encode()) < 1024
     assert "graph is not 3-regular: node 0 has degree 1" in err
+
+
+def test_color_count_refuses_a_large_declared_graph_in_constant_memory(tmp_path, capsys):
+    # the degree check built a list over every declared node: 160 MB here
+    f = write(tmp_path, "empty.txt", "nodes 20000000\n")
+    tracemalloc.start()
+    try:
+        code = main(["color-count", f])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 2**20
+    assert "graph is not 3-regular: node 0 has degree 0" in capsys.readouterr().err
+    # the first node whose degree is not 3 is named, past nodes that have 3
+    k4_and_one = tn.Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    with pytest.raises(tn.ShapeError, match="graph is not 3-regular: node 4 has degree 0$"):
+        tn.count_3_edge_colorings(k4_and_one)
 
 
 def test_color_count_negative_node_count_exit_2(tmp_path, capsys):

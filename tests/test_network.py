@@ -560,7 +560,7 @@ def test_contract_all_matches_one_einsum_on_random_networks(monkeypatch):
         expect = einsum_reference(net)
         labels = []
         for nid, label in net.open_wires():
-            labels.append(label if label not in labels else f"n{nid}:{label}")
+            labels.append(next(x for x in [label] + [f"{label}_{k}" for k in range(1, len(labels) + 1)] if x not in labels))
         for plan in (None, random_plan(net, gen), random_plan(net, gen)):
             with monkeypatch.context() as m:
                 if plan is not None:  # contract in a random merge order

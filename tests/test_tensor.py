@@ -212,6 +212,98 @@ def test_tensor_product_collision_suffix():
     assert out.data[0, 1] == 1
 
 
+def old_rule_labels(a, pairs, b=None):
+    """Surviving labels as contract named them when it had an engine of its
+    own: a's unpaired labels, then b's, each taken one with the first free
+    suffix _1, _2, ..."""
+    paired_a = {l for pair in pairs for l in pair} if b is None else {l for l, _ in pairs}
+    out = [l for l in a.labels if l not in paired_a]
+    for l in [] if b is None else [l for l in b.labels if l not in {q for _, q in pairs}]:
+        lab, k = l, 1
+        while lab in out:
+            lab, k = f"{l}_{k}", k + 1
+        out.append(lab)
+    return tuple(out)
+
+
+def einsum_contract(a, pairs, b=None):
+    """contract as one np.einsum: one subscript per wire, a pair's two ends share one."""
+    subs_a = list(range(len(a.wires)))
+    if b is None:
+        for la, lb in pairs:
+            subs_a[a.axis(lb)] = subs_a[a.axis(la)]
+        paired = {l for pair in pairs for l in pair}
+        return np.einsum(a.data, subs_a, [s for s, l in zip(subs_a, a.labels) if l not in paired])
+    subs_b = list(range(len(a.wires), len(a.wires) + len(b.wires)))
+    for la, lb in pairs:
+        subs_b[b.axis(lb)] = subs_a[a.axis(la)]
+    out = [s for s, l in zip(subs_a, a.labels) if l not in {p for p, _ in pairs}]
+    out += [s for s, l in zip(subs_b, b.labels) if l not in {q for _, q in pairs}]
+    return np.einsum(a.data, subs_a, b.data, subs_b, out)
+
+
+def test_contract_tensor_product_and_trace_match_einsum_and_the_old_labels():
+    gen = np.random.default_rng(20261020)
+    names = ["a", "b", "c", "a_1", "b_1"]  # colliding labels, and labels the suffix rule makes
+
+    def draw(n):  # [label, dim, flavor] of n wires
+        labels, dims, ups = gen.permutation(names)[:n], gen.integers(1, 5, n), gen.integers(2, size=n)
+        return [[str(l), int(d), tn.UPPER if f else tn.LOWER] for l, d, f in zip(labels, dims, ups)]
+
+    def build(specs):
+        if not specs:
+            return tn.scalar(gen.normal())
+        labels, dims, flavors = zip(*specs)
+        return random_tensor(list(dims), list(flavors), list(labels))
+
+    cases = []
+    for _ in range(150):  # random pairs, 0-3 of them
+        k = int(gen.integers(0, 4))
+        wa, wb = draw(k + int(gen.integers(0, 3))), draw(k + int(gen.integers(0, 3)))
+        ends = [wb[int(j)] for j in gen.permutation(len(wb))[:k]]
+        for x, y in zip(wa, ends):
+            y[1:] = x[1], x[2].flipped()
+        cases.append((build(wa), [(x[0], y[0]) for x, y in zip(wa, ends)], build(wb)))
+    for _ in range(50):  # self-contractions, 0-2 loops
+        k = int(gen.integers(0, 3))
+        w = draw(2 * k + int(gen.integers(0, 2)))
+        for x, y in zip(w[0:2 * k:2], w[1:2 * k:2]):
+            y[1:] = x[1], x[2].flipped()
+        cases.append((build(w), [(x[0], y[0]) for x, y in zip(w[0:2 * k:2], w[1:2 * k:2])], None))
+    m = random_tensor([3, 3], [tn.UPPER, tn.LOWER], ["out", "in"])
+    four = random_tensor([2, 2, 3, 3], [tn.UPPER, tn.LOWER, tn.LOWER, tn.UPPER], list("abcd"))
+    cases += [
+        (tn.scalar(2 - 1j), [], m), (m, [], tn.scalar(3j)), (tn.scalar(2), [], tn.scalar(-1j)),  # scalar operands
+        (m, [("in", "out")], m), (m, [], m), (m, [("in", "out"), ("out", "in")], m),  # b is a
+        (four, [("a", "b"), ("d", "c")], None), (four, [("b", "a")], None),  # two loops, one loop
+    ]
+    for a, pairs, b in cases:
+        out = tn.contract(a, pairs, b)
+        assert out.labels == old_rule_labels(a, pairs, b)
+        np.testing.assert_allclose(out.data, einsum_contract(a, pairs, b), rtol=0, atol=1e-12)
+        if not pairs and b is not None:
+            product = tn.tensor_product(a, b)
+            assert product.labels == out.labels
+            np.testing.assert_allclose(product.data, np.multiply.outer(a.data, b.data), rtol=0, atol=1e-12)
+        if b is None:
+            traced = tn.trace(a, pairs)
+            assert traced.labels == out.labels and traced.data.tobytes() == out.data.tobytes()
+
+
+def test_tensor_product_past_the_element_budget_is_refused_before_allocating():
+    # 2^14 x 2^14 elements: the product would be 4 GiB of complex doubles
+    a = tn.ket(np.ones(2**14))
+    b = tn.ket(np.ones(2**14))
+    tracemalloc.start()
+    try:
+        with pytest.raises(tn.SizeLimitError, match=r"2\^28\.0"):
+            tn.tensor_product(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_bend_keeps_components():
     t = random_tensor([2, 2], [tn.UPPER, tn.LOWER], ["a", "b"])
     up = tn.raise_wire(t, "b")
