@@ -19,8 +19,8 @@ print("round-trip error:", np.max(np.abs(tn.to_dense(exact).data - state.data)))
 # truncate with an absolute cutoff; the report carries the error budget
 small, rep = tn.mps_from_dense(state, tn.TrimPolicy.cutoff(1e-1))
 print("truncated bond dims:", small.bond_dims)
-for line in rep.lines():
-    print(" ", line)
+print("  discarded weight per cut:", rep.discarded_weights)
+print("  fidelity bound:", rep.fidelity_bound, "fidelity:", rep.fidelity)
 print("fidelity >= bound:", rep.fidelity >= rep.fidelity_bound)
 
 # named states: GHZ is bond 2 everywhere with entropy ln 2 at every cut

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import ShapeError, check_elements
-from .tensor import LOWER, UPPER, Tensor, WireSpec, matrix
+from .tensor import LOWER, UPPER, Tensor, WireSpec, lower_wire, matrix, raise_wire
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -25,10 +25,11 @@ def _gate(data, n_out: int, n_in: int, d: int = 2) -> Tensor:
     return Tensor(data, wires)
 
 
-def _truth_gate(f, n_out: int, n_in: int, d: int = 2) -> Tensor:
+def _truth_gate(f, n_out: int, n_in: int, d: int = 2, what: str = "gate") -> Tensor:
     """sum_x |f(x)><x| over every input x in range(d)^n_in.  ``f`` takes the
     n_in input digits, as arrays over all inputs at once, and returns the
-    n_out output digits."""
+    n_out output digits.  Refused past ``MAX_ELEMENTS`` before allocating."""
+    check_elements(d, n_out + n_in, what)
     data = np.zeros((d,) * (n_out + n_in), dtype=complex)
     x = tuple(np.indices((d,) * n_in).reshape(n_in, -1))
     data[tuple(f(*x)) + x] = 1.0
@@ -36,25 +37,25 @@ def _truth_gate(f, n_out: int, n_in: int, d: int = 2) -> Tensor:
 
 
 def identity(d: int = 2) -> Tensor:
-    return matrix(np.eye(d), "o0", "i0")
+    """delta^o0_i0 = sum_k |k><k|; wires (o0, i0)."""
+    return _truth_gate(lambda k: (k,), 1, 1, d, "identity")
 
 
 def cup(d: int = 2) -> Tensor:
-    """|cup> = sum_k |kk>, the unnormalized Bell state; two UPPER wires."""
-    data = np.eye(d, dtype=complex)
-    return Tensor(data, [WireSpec("o0", d, UPPER), WireSpec("o1", d, UPPER)])
+    """|cup> = sum_k |kk>, the unnormalized Bell state: the identity with
+    its input bent up; two UPPER wires."""
+    return raise_wire(identity(d), "i0").relabeled({"i0": "o1"})
 
 
 def cap(d: int = 2) -> Tensor:
-    """<cap| = sum_k <kk|; two LOWER wires."""
-    data = np.eye(d, dtype=complex)
-    return Tensor(data, [WireSpec("i0", d, LOWER), WireSpec("i1", d, LOWER)])
+    """<cap| = sum_k <kk|: the identity with its output bent down; two
+    LOWER wires."""
+    return lower_wire(identity(d), "o0").relabeled({"o0": "i0", "i0": "i1"})
 
 
 def swap(d: int = 2) -> Tensor:
     """SWAP^{ij}_{kl} = delta^i_l delta^j_k."""
-    check_elements(d, 4, "swap")
-    return _truth_gate(lambda k, l: (l, k), 2, 2, d)
+    return _truth_gate(lambda k, l: (l, k), 2, 2, d, "swap")
 
 
 def pauli_x() -> Tensor:
@@ -139,19 +140,7 @@ def epsilon(n: int) -> Tensor:
 
 
 def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    return (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
 
 
 def antisymmetrizer(n: int, d: int) -> Tensor:

@@ -9,7 +9,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateTrimError, ShapeError, WireError
-from .tensor import LOWER, UPPER, Tensor, WireSpec, _as_map
+from .network import contract
+from .tensor import LOWER, UPPER, Tensor, WireSpec, _as_map, bra, permute
 
 RANK_TOL = 1e-12  # sigma counts toward rank iff sigma > RANK_TOL * sigma_max
 
@@ -202,24 +203,22 @@ def schmidt(state: Tensor, left_labels: Sequence[str]) -> SchmidtDecomposition:
 def reduced_density(state: Tensor, keep_labels: Sequence[str]) -> Tensor:
     """Partial trace of |psi><psi| keeping the named subsystems.
 
-    Result is an order-(k,k) tensor, Hermitian and PSD with unit trace for
-    a normalized input ket.
+    The network of the ket and its conjugate, with one bond per traced
+    wire, run by ``network.contract``, so a result or merge past
+    ``MAX_ELEMENTS`` is refused before it is built.  The result's wires are
+    the kept wires (UPPER) and then their ``label*`` copies (LOWER), both
+    in ``keep_labels`` order: an order-(k,k) tensor, Hermitian and PSD with
+    unit trace for a normalized input ket.
     """
     if any(w.flavor is not UPPER for w in state.wires):
         raise ShapeError("reduced_density expects a ket (all wires UPPER)")
     if abs(state.norm() - 1.0) > 1e-8:
         raise ShapeError(f"state norm {state.norm():.3g} is not 1")
-    keep_labels = list(keep_labels)
-    keep_axes = [state.axis(l) for l in keep_labels]
-    n = len(state.wires)
-    sub_ket = list(range(n))
-    # kept bra axes get fresh subscripts; traced axes share the ket's
-    sub_bra = [i + n if i in keep_axes else i for i in range(n)]
-    out = [*keep_axes, *(i + n for i in keep_axes)]
-    rho = np.einsum(state.data, sub_ket, np.conj(state.data), sub_bra, out)
-    wires = [state.wire(l) for l in keep_labels]
-    wires += [WireSpec(w.label + "*", w.dim, LOWER) for w in wires]
-    return Tensor(rho, wires)
+    keep = list(keep_labels)
+    kept = {state.wire(l).label for l in keep}  # an unknown label raises here
+    conj = bra(state.data, [l + "*" for l in state.labels], [w.dim for w in state.wires])
+    traced = [(l, l + "*") for l in state.labels if l not in kept]
+    return permute(contract(state, traced, conj), keep + [l + "*" for l in keep])
 
 
 # -- entropies ---------------------------------------------------------

@@ -100,14 +100,6 @@ class CompressionReport:
     fidelity: float
     dropped_counts: tuple[int, ...] = field(default=())
 
-    def lines(self) -> list[str]:
-        out = ["bond_dims=" + ",".join(str(d) for d in self.bond_dims)]
-        for k, w in enumerate(self.discarded_weights):
-            out.append(f"discarded_weight_cut_{k + 1}={w:.15g}")
-        out.append(f"fidelity_bound={self.fidelity_bound:.15g}")
-        out.append(f"fidelity={self.fidelity:.15g}")
-        return out
-
 
 # -- construction ------------------------------------------------------
 

@@ -65,8 +65,9 @@ class Tensor:
         Components, either flat (row-major over the wire order) or already
         shaped to the wire dimensions.  They are copied into a read-only
         array, unless they already are a tensor's array or a read-only view
-        of one: wire-only changes share it.  ``t * c``, :func:`conjugate`
-        and :func:`dagger` freeze their freshly computed array in place.
+        of one: wire-only changes share it.  ``t * c``, :func:`conjugate`,
+        :func:`dagger` and :func:`bra` freeze their freshly computed array
+        in place.
     wires : sequence of WireSpec
         Ordered wires; labels must be unique.
     """
@@ -228,8 +229,8 @@ def ket(values, labels: Sequence[str] | None = None, dims: Sequence[int] | None 
 
 def bra(values, labels: Sequence[str] | None = None, dims: Sequence[int] | None = None) -> Tensor:
     """Like :func:`ket` but with LOWER wires and conjugated components."""
-    t = ket(np.conj(np.asarray(values, dtype=complex)), labels, dims)
-    return Tensor(t.data, [WireSpec(w.label, w.dim, LOWER) for w in t.wires])
+    t = ket(values, labels, dims)  # shares a tensor's frozen array
+    return _adopt(np.conj(t.data, order="C"), [WireSpec(w.label, w.dim, LOWER) for w in t.wires])
 
 
 def matrix(m, out_label: str = "out", in_label: str = "in") -> Tensor:

@@ -11,6 +11,12 @@ import tensornet as tn
 from tensornet import catalog, errors, network
 
 
+def perm_sign(perm):
+    """The sign of a permutation as the determinant of its matrix, a
+    reference independent of ``catalog._perm_sign``."""
+    return round(np.linalg.det(np.eye(len(perm))[list(perm)]))
+
+
 def as_matrix(t, n_out, n_in):
     d_out = math.prod(w.dim for w in t.wires[:n_out]) or 1
     return t.data.reshape(d_out, -1)
@@ -98,8 +104,7 @@ def test_epsilon_antisymmetry():
         e = tn.epsilon(n)
         assert e.order == (0, n)
         for perm in itertools.permutations(range(n)):
-            sign = catalog._perm_sign(perm)
-            assert e.data[perm] == sign
+            assert e.data[perm] == perm_sign(perm)
     with pytest.raises(tn.ShapeError):
         tn.epsilon(1)
 
@@ -141,14 +146,17 @@ def test_aklt_projector_is_isometry():
 
 
 def test_oversized_catalog_tensors_are_refused_before_allocating(monkeypatch):
-    def no_zeros(*args, **kwargs):
+    def no_alloc(*args, **kwargs):
         raise AssertionError("allocated before the size check")
 
-    monkeypatch.setattr(np, "zeros", no_zeros)
+    monkeypatch.setattr(np, "zeros", no_alloc)
+    monkeypatch.setattr(np, "eye", no_alloc)
     t0 = time.perf_counter()
     for build in (lambda: catalog.copy_tensor(40), lambda: catalog.xor_tensor(40),
                   lambda: catalog.epsilon(10), lambda: catalog.antisymmetrizer(7, 4),
-                  lambda: catalog.copy_tensor(10**9)):
+                  lambda: catalog.copy_tensor(10**9), lambda: catalog.swap(100),
+                  lambda: catalog.identity(20000), lambda: catalog.cup(20000),
+                  lambda: catalog.cap(20000)):
         with pytest.raises(tn.SizeLimitError, match="over the limit of 2\\^26"):
             build()
     assert time.perf_counter() - t0 < 1.0
@@ -160,10 +168,17 @@ def test_catalog_limit_is_inclusive(monkeypatch):
     assert catalog.copy_tensor(3, 1).data.size == 2**4
     assert catalog.xor_tensor(4, 0).data.size == 2**4
     assert catalog.epsilon(2).data.size == 4
+    assert catalog.swap(2).data.size == 2**4
     with pytest.raises(tn.SizeLimitError):
         catalog.copy_tensor(4, 1)
     with pytest.raises(tn.SizeLimitError):
         catalog.epsilon(3)
+    for build in (catalog.identity, catalog.cup, catalog.cap):
+        assert build(4).data.size == 2**4
+        with pytest.raises(tn.SizeLimitError):
+            build(5)
+    with pytest.raises(tn.SizeLimitError):
+        catalog.swap(3)
     with pytest.raises(tn.SizeLimitError):
         catalog.antisymmetrizer(2, 3)
 
@@ -191,9 +206,25 @@ def test_catalog_matches_loop_references():
                 j_tup = [0] * n
                 for k in range(n):
                     j_tup[perm[k]] = i_tup[k]
-                expect[i_tup + tuple(j_tup)] += catalog._perm_sign(perm)
+                expect[i_tup + tuple(j_tup)] += perm_sign(perm)
         expect /= math.factorial(n)
         assert np.array_equal(tn.antisymmetrizer(n, d).data, expect)
+
+    for n in range(2, 6):
+        expect = np.zeros((n,) * n, dtype=complex)
+        for perm in itertools.permutations(range(n)):
+            expect[perm] = perm_sign(perm)
+        assert np.array_equal(tn.epsilon(n).data, expect)
+
+
+def test_identity_cup_and_cap_are_the_bent_identity():
+    for d in range(1, 5):
+        eye = np.eye(d, dtype=complex)
+        for t, wires in [(tn.identity(d), [("o0", tn.UPPER), ("i0", tn.LOWER)]),
+                         (tn.cup(d), [("o0", tn.UPPER), ("o1", tn.UPPER)]),
+                         (tn.cap(d), [("i0", tn.LOWER), ("i1", tn.LOWER)])]:
+            assert t.data.tobytes() == eye.tobytes() and t.data.shape == (d, d)
+            assert t.wires == tuple(tn.WireSpec(label, d, flavor) for label, flavor in wires)
 
 
 def test_large_catalog_tensors_build_at_numpy_speed():

@@ -1,6 +1,7 @@
 """Matricization, SVD, trimming, Schmidt decomposition, entropies."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,17 @@ def test_schmidt_needs_both_sides():
         tn.schmidt(tn.bra([1, 0]), [])
 
 
+def reference_reduced_density(state, keep):
+    """The partial trace as one np.einsum, with the kept wires and then
+    their LOWER ``label*`` copies in ``keep`` order."""
+    n = len(state.wires)
+    axes = [state.axis(l) for l in keep]
+    sub_bra = [i + n if i in axes else i for i in range(n)]
+    rho = np.einsum(state.data, list(range(n)), np.conj(state.data), sub_bra, axes + [i + n for i in axes])
+    wires = [state.wire(l) for l in keep]
+    return rho, wires + [tn.WireSpec(w.label + "*", w.dim, tn.LOWER) for w in wires]
+
+
 def test_reduced_density_matches_dense_partial_trace():
     state = random_state([2, 2, 3])
     rho = tn.reduced_density(state, ["w0", "w2"])
@@ -151,6 +163,19 @@ def test_reduced_density_matches_dense_partial_trace():
     m = rho.data.reshape(6, 6)
     assert np.allclose(m, m.conj().T)
     assert np.trace(m).real == pytest.approx(1.0)
+    # qubit and qudit kets, kept wires in any order, none kept and all kept
+    draw = np.random.default_rng(25)
+    cases = [([2] * 5, [1, 3]), ([2] * 6, [4, 0, 2]), ([3, 2, 4], [2, 0]), ([2, 3, 1, 2], [3, 1, 2]),
+             ([3, 3], []), ([2, 3, 2], [0, 1, 2]), ([2, 4, 3], [2, 0, 1]), ([5], [0]), ([5], [])]
+    for dims, keep_axes in cases:
+        v = draw.normal(size=dims) + 1j * draw.normal(size=dims)
+        state = tn.ket(v / np.linalg.norm(v), dims=dims)
+        keep = [f"w{i}" for i in keep_axes]
+        rho = tn.reduced_density(state, keep)
+        expect, wires = reference_reduced_density(state, keep)
+        assert rho.wires == tuple(wires)
+        assert rho.data.shape == expect.shape
+        assert np.max(np.abs(rho.data - expect), initial=0.0) < 1e-12
 
 
 def test_reduced_density_requires_normalized_ket():
@@ -224,3 +249,20 @@ def test_schmidt_rank_tolerance():
     assert tn.schmidt_rank([1.0, 1e-13, 0.0]) == 1
     assert tn.schmidt_rank([1.0, 1e-6]) == 2
     assert tn.schmidt_rank([]) == 0
+
+
+def test_reduced_density_past_the_element_budget_is_refused_before_allocating():
+    state = random_state([2] * 16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(tn.SizeLimitError):  # 2^28 elements, 4 GiB
+            tn.reduced_density(state, [f"w{i}" for i in range(14)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_reduced_density_names_an_unknown_wire():
+    with pytest.raises(tn.WireError, match="no wire labeled 'zz'"):
+        tn.reduced_density(random_state([2, 2]), ["w0", "zz"])

@@ -104,7 +104,8 @@ def test_value_operations_hold_one_array():
     big = tn.ket(np.arange(2**22) * (1 + 2j))  # 64 MiB
     small = tn.permute(random_tensor([2, 3, 4], [tn.UPPER, tn.LOWER, tn.UPPER]), [2, 0, 1])  # a strided view
     ops = [(lambda t: t * 0.5, lambda a: a * 0.5), (lambda t: 2 * t, lambda a: a * 2),
-           (tn.conjugate, np.conj), (tn.dagger, lambda a: np.conj(np.transpose(a)))]
+           (tn.conjugate, np.conj), (tn.dagger, lambda a: np.conj(np.transpose(a))),
+           (lambda t: tn.bra(t.data, dims=t.data.shape), np.conj)]
     for op, expect in ops:
         tracemalloc.start()
         try:
