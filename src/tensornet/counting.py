@@ -31,7 +31,6 @@ import functools
 import itertools
 import logging
 import math
-import operator
 import time
 from dataclasses import dataclass
 
@@ -39,6 +38,7 @@ import numpy as np
 
 from . import catalog
 from .errors import NonIntegralError, ParseError, ShapeError, SizeLimitError
+from .fileio import _lines, _numbers
 from .network import TensorNetwork, from_terms
 from .tensor import LOWER, UPPER, Tensor, WireSpec, dagger, raise_wire
 
@@ -86,76 +86,63 @@ class CnfFormula:
         if self.num_vars < 0:
             raise ValueError(f"negative number of variables: {self.num_vars}")
         kept = []
-        removed = 0
         n = self.num_vars
         for clause in self.clauses:
             clause = tuple(clause)
             if not clause:
                 raise ValueError("empty clause")
-            for lit in clause:
+            lits = set(clause)
+            tautology = False
+            for lit in clause:  # one pass: the range test, and x beside -x
                 if lit == 0 or abs(lit) > n:
                     raise ValueError(f"literal {lit} out of range for {n} variables")
-            if not set(clause).isdisjoint(map(operator.neg, clause)):
-                removed += 1
-            else:
+                tautology = tautology or -lit in lits
+            if not tautology:
                 kept.append(clause)
+        self.tautologies_removed += len(self.clauses) - len(kept)
         self.clauses = kept
-        self.tautologies_removed += removed
 
 
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF; clauses are 0-terminated and may span lines.  A
     line whose first token is ``%`` ends the clause list, and what follows
     it is ignored (SATLIB's files end with a ``%`` line and a ``0`` line)."""
-    num_vars = num_clauses = None
-    header_seen = False
+    num_vars = num_clauses = end = None
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
-    last_line = 0
-    for no, line in enumerate(text.splitlines(), start=1):
-        last_line = no
-        line = line.strip()
-        if not line or line.startswith("c"):
+    for no, toks in _lines(text):
+        head = toks[0]
+        if head[0] == "c":
             continue
-        if line.startswith("p"):
-            toks = line.split()
-            if header_seen:
+        if head[0] == "p":
+            if num_vars is not None:
                 raise ParseError(no, "duplicate 'p' header")
             if len(toks) != 4 or toks[1] != "cnf":
-                raise ParseError(no, f"bad header {line!r}, expected 'p cnf <vars> <clauses>'")
-            try:
-                num_vars, num_clauses = int(toks[2]), int(toks[3])
-            except ValueError:
-                raise ParseError(no, f"non-integer counts in header {line!r}")
+                raise ParseError(no, f"bad header {' '.join(toks)!r}, expected 'p cnf <vars> <clauses>'")
+            num_vars, num_clauses = _numbers(no, toks[2:], int, "non-integer count")
             if num_vars < 0 or num_clauses < 0:
                 raise ParseError(no, "negative counts in header")
-            header_seen = True
             continue
-        toks = line.split()
-        if toks[0] == "%":
+        if head == "%":
+            end = no
             break
-        if not header_seen:
+        if num_vars is None:
             raise ParseError(no, "clause before 'p cnf' header")
-        for tok in toks:
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise ParseError(no, f"non-integer literal {tok!r}")
-            if lit == 0:
-                if not current:
-                    raise ParseError(no, "empty clause")
-                clauses.append(tuple(current))
-                current = []
-            else:
+        for lit in _numbers(no, toks, int, "non-integer literal"):
+            if lit:
                 if abs(lit) > num_vars:
                     raise ParseError(no, f"literal {lit} out of range (1..{num_vars})")
                 current.append(lit)
-    if not header_seen:
-        raise ParseError(last_line or 1, "missing 'p cnf' header")
-    if current:
-        raise ParseError(last_line, "last clause is missing its 0 terminator")
-    if len(clauses) != num_clauses:
-        raise ParseError(last_line, f"header promises {num_clauses} clauses, found {len(clauses)}")
+            elif current:
+                clauses.append(tuple(current))
+                current = []
+            else:
+                raise ParseError(no, "empty clause")
+    fault = ("missing 'p cnf' header" if num_vars is None else
+             "last clause is missing its 0 terminator" if current else
+             f"header promises {num_clauses} clauses, found {len(clauses)}" if len(clauses) != num_clauses else None)
+    if fault:  # at the "%" line, or the last line
+        raise ParseError(end or len(text.splitlines()) or 1, fault)
     return CnfFormula(num_vars, clauses)
 
 
@@ -381,38 +368,25 @@ class Graph:
 def parse_graph(text: str) -> Graph:
     """Edge-list format: header ``nodes <n>``, then one ``u v`` per line
     (0-based); ``#`` starts a comment."""
-    num_nodes = None
+    lines = _lines(text, "#")
+    no, toks = next(lines, (1, None))
+    if toks is None:
+        raise ParseError(no, "missing 'nodes <n>' header")
+    if toks[0] != "nodes" or len(toks) != 2:
+        raise ParseError(no, f"expected header 'nodes <n>', got {' '.join(toks)!r}")
+    (num_nodes,) = _numbers(no, toks[1:], int, "non-integer node count")
+    if num_nodes < 0:
+        raise ParseError(no, "negative node count in header")
     edges: list[tuple[int, int]] = []
-    header_line = 0
-    for no, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        if num_nodes is None:
-            if toks[0] != "nodes" or len(toks) != 2:
-                raise ParseError(no, f"expected header 'nodes <n>', got {line!r}")
-            try:
-                num_nodes = int(toks[1])
-            except ValueError:
-                raise ParseError(no, f"non-integer node count {toks[1]!r}")
-            if num_nodes < 0:
-                raise ParseError(no, "negative node count in header")
-            header_line = no
-            continue
+    for no, toks in lines:
         if len(toks) != 2:
-            raise ParseError(no, f"expected edge 'u v', got {line!r}")
-        try:
-            u, v = int(toks[0]), int(toks[1])
-        except ValueError:
-            raise ParseError(no, f"non-integer endpoint in {line!r}")
+            raise ParseError(no, f"expected edge 'u v', got {' '.join(toks)!r}")
+        u, v = _numbers(no, toks, int, "non-integer endpoint")
         if not (0 <= u < num_nodes and 0 <= v < num_nodes):
             raise ParseError(no, f"edge ({u}, {v}) out of range for {num_nodes} nodes")
         if u == v:
             raise ParseError(no, f"self-loop at node {u}")
         edges.append((u, v))
-    if num_nodes is None:
-        raise ParseError(header_line or 1, "missing 'nodes <n>' header")
     return Graph(num_nodes, edges)
 
 

@@ -1,13 +1,22 @@
-"""Plain-text amplitude files shared by the CLI and the MPS tools.
+"""The plain-text input formats' shared reading rules, and the amplitude
+files of the CLI and the MPS tools.
 
-Format: first line ``dims d1 d2 ... dn``; each following non-empty line
-holds one ``re im`` pair, in row-major order over the wires.  Every
-amplitude, and the norm of the state, must be finite.
+Every format (DIMACS CNF and edge lists in ``counting``, amplitudes here)
+reads its lines through ``_lines`` and its numbers through ``_numbers``:
+lines are numbered from 1, a line with no token (blank, or only a
+comment) is skipped, and a token that is not the number the format wants
+raises ``ParseError`` naming the token and its line.
+
+Amplitude format: first line ``dims d1 d2 ... dn``; each following
+non-empty line holds one ``re im`` pair, in row-major order over the
+wires.  There is no comment syntax.  Every amplitude, and the norm of the
+state, must be finite.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -16,46 +25,61 @@ from .errors import ParseError
 from .tensor import UPPER, Tensor, WireSpec, _norm
 
 
-def parse_amplitudes(text: str) -> Tensor:
-    lines = text.splitlines()
-    header = None
-    header_no = 0
-    for no, line in enumerate(lines, start=1):
-        if line.strip():
-            header, header_no = line.split(), no
-            break
-    if header is None or header[0] != "dims":
-        raise ParseError(header_no or 1, "expected header 'dims d1 d2 ...'")
+def _lines(text: str, comment: str | None = None) -> Iterator[tuple[int, list[str]]]:
+    """Each line of ``text`` that has a token, as its number (from 1) and
+    its tokens; with ``comment``, every line ends at its first ``comment``."""
+    for no, line in enumerate(text.splitlines(), start=1):
+        toks = (line.partition(comment)[0] if comment else line).split()
+        if toks:
+            yield no, toks
+
+
+def _numbers(no: int | list[int], toks: list[str], kind: type, what: str) -> list:
+    """``toks`` converted by ``kind`` (int or float) in one call.  ``no`` is
+    their line, or a list of each token's line; the first token that does
+    not convert is refused as ``ParseError(line, "<what> '<token>'")``."""
     try:
-        dims = [int(tok) for tok in header[1:]]
+        return [*map(kind, toks)]
     except ValueError:
-        raise ParseError(header_no, f"non-integer dimension in header: {header[1:]}")
-    if not dims or any(d < 1 for d in dims):
-        raise ParseError(header_no, f"dimensions must be positive integers, got {dims}")
+        for k, tok in enumerate(toks):
+            try:
+                kind(tok)
+            except ValueError:
+                raise ParseError(no if isinstance(no, int) else no[k], f"{what} {tok!r}") from None
+
+
+def parse_amplitudes(text: str) -> Tensor:
+    lines = _lines(text)
+    no, header = next(lines, (1, [""]))
+    if header[0] != "dims":
+        raise ParseError(no, "expected header 'dims d1 d2 ...'")
+    dims = _numbers(no, header[1:], int, "non-integer dimension")
+    if not dims or min(dims) < 1:
+        raise ParseError(no, f"dimensions must be positive integers, got {dims}")
     want = math.prod(dims)
-    values = []
-    for no, line in enumerate(lines[header_no:], start=header_no + 1):
-        if not line.strip():
-            continue
-        toks = line.split()
-        if len(toks) != 2:
-            raise ParseError(no, f"expected 're im' pair, got {line.strip()!r}")
-        try:
-            values.append(complex(float(toks[0]), float(toks[1])))
-        except ValueError:
-            raise ParseError(no, f"non-numeric amplitude {line.strip()!r}")
-        if len(values) > want:
-            raise ParseError(no, f"more than {want} amplitudes for dims {dims}")
-    if len(values) != want:
-        raise ParseError(len(lines), f"got {len(values)} amplitudes, dims {dims} require {want}")
-    amps = np.array(values)
-    if not np.isfinite(amps).all():  # name its line: the non-empty lines are the header, then the amplitudes
-        no = [k for k, line in enumerate(lines, start=1) if line.strip()][1 + np.isfinite(amps).argmin()]
-        raise ParseError(no, f"non-finite amplitude {lines[no - 1].strip()!r}")
+    toks, nos, stop = [], [], None  # the amplitude tokens, the line of each, and what stopped the reading
+    for no, pair in lines:
+        if len(pair) != 2:
+            stop = ParseError(no, f"expected 're im' pair, got {' '.join(pair)!r}")
+            break
+        toks += pair
+        nos += no, no
+        if len(nos) > 2 * want:
+            stop = ParseError(no, f"more than {want} amplitudes for dims {dims}")
+            break
+    # the lines before the one that stopped the reading are read, and checked finite, first
+    values = np.array(_numbers(nos, toks, float, "non-numeric amplitude"))
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ParseError(nos[bad[0]], f"non-finite amplitude {toks[bad[0]]!r}")
+    if stop:
+        raise stop
+    amps = values.view(complex)
+    if len(amps) != want:
+        raise ParseError(len(text.splitlines()), f"got {len(amps)} amplitudes, dims {dims} require {want}")
     if not math.isfinite(_norm(amps)):
-        raise ParseError(len(lines), "amplitudes too large: their norm overflows")
-    wires = [WireSpec(f"s{k}", d, UPPER) for k, d in enumerate(dims)]
-    return Tensor(amps, wires)
+        raise ParseError(len(text.splitlines()), "amplitudes too large: their norm overflows")
+    return Tensor(amps, [WireSpec(f"s{k}", d, UPPER) for k, d in enumerate(dims)])
 
 
 def read_amplitudes(path) -> Tensor:

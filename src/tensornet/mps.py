@@ -21,11 +21,12 @@ state whose norm is outside ``tensor.NORM_RANGE`` is swept divided by a
 power of two (for ``compress``, the one core of its right-canonical form
 that carries the norm), and each fidelity divides the overlap by both
 norms before it squares.
-One right-canonical sweep, a right-to-left QR sweep that keeps each cut's
-R^dagger, is behind both ``compress`` (which trims the right-canonical
-cores) and the Schmidt values: one left sweep of R-only QRs then gives
-every cut's values as the singular values of R_left R^dagger, so all n-1
-cuts take 2(n-1) QRs and one cut takes n.
+``compress`` trims the cores of one right-to-left QR sweep
+(``_right_canonical``, which returns only the cores).  The Schmidt values
+take their own right-to-left sweep of R-only QRs, which keeps each cut's
+R^dagger, and one left sweep of R-only QRs then gives every cut's values
+as the singular values of R_left R^dagger, so all n-1 cuts take 2(n-1)
+QRs and one cut takes n.
 Densifying contracts the left and the right half of the chain as two
 matrix chains and joins them with one matrix product, which also traces
 the ring bonds of a periodic chain.

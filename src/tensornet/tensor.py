@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapeError, SizeLimitError, WireError
+from .errors import MAX_ELEMENTS, ShapeError, SizeLimitError, WireError
 
 
 class Flavor(enum.Enum):
@@ -337,10 +337,15 @@ def enumerate_reshapes(a: Tensor, max_wires: int = 4) -> list[np.ndarray]:
     and a lower group; its component array is the matrix whose row index
     runs over the upper group and column index over the lower group.  For
     a generic order-(p,q) tensor there are (p+q+1)! distinct matrices.
+    More than ``max_wires`` wires, or (n+1)! matrices of more than
+    ``MAX_ELEMENTS`` elements in all, are refused before any is built.
     """
     n = len(a.wires)
     if n > max_wires:
         raise SizeLimitError(f"enumerate_reshapes limited to {max_wires} wires, got {n}")
+    if math.factorial(n + 1) * a.data.size > MAX_ELEMENTS:
+        raise SizeLimitError(f"enumerate_reshapes would hold {math.factorial(n + 1)} matrices of {a.data.size} "
+                             f"elements, over the limit of 2^{MAX_ELEMENTS.bit_length() - 1} elements")
     dims = [w.dim for w in a.wires]
     seen: dict[tuple, np.ndarray] = {}
     for perm in itertools.permutations(range(n)):

@@ -60,25 +60,49 @@ def test_amplitude_round_trip(tmp_path):
     assert back.wires == t.wires
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "2 2\n1 0\n",  # missing 'dims'
-        "dims 2 x\n",  # non-integer dim
-        "dims 0\n",  # non-positive dim
-        "dims 2\n1 0\n",  # too few amplitudes
-        "dims 2\n1 0\n0 0\n1 0\n",  # too many
-        "dims 2\n1\n0 0\n",  # not a pair
-        "dims 2\nez 0\n0 0\n",  # non-numeric
-        "dims 2\nnan 0\n0 0\n",  # not a number
-        "dims 2\n1 0\n0 -inf\n",  # infinite
-        "dims 2\n\n1e400 0\n0 0\n",  # past the float range
-        "dims 2 2\n1.5e308 0\n1.5e308 0\n1.5e308 0\n1.5e308 0\n",  # each finite, the norm (3e308) not
-    ],
-)
+AMPLITUDE_ERRORS = {  # text: (line, message)
+    "2 2\n1 0\n": (1, "expected header 'dims d1 d2 ...'"),  # missing 'dims'
+    "dims 2 x\n": (1, "non-integer dimension"),
+    "dims 0\n": (1, r"dimensions must be positive integers, got \[0\]"),
+    "dims 2\n1 0\n": (2, r"got 1 amplitudes, dims \[2\] require 2"),  # too few, at the last line
+    "dims 2\n1 0\n0 0\n1 0\n": (4, r"more than 2 amplitudes for dims \[2\]"),
+    "dims 2\n1\n0 0\n": (2, "expected 're im' pair, got '1'"),
+    "dims 2\nez 0\n0 0\n": (2, "non-numeric amplitude 'ez"),
+    "dims 2\nnan 0\n0 0\n": (2, "non-finite amplitude 'nan"),  # not a number
+    "dims 2\n1 0\n0 -inf\n": (3, "non-finite amplitude"),
+    "dims 2\n\n1e400 0\n0 0\n": (3, "non-finite amplitude '1e400"),  # past the float range
+    # each finite, the norm (3e308) not: at the last line
+    "dims 2 2\n1.5e308 0\n1.5e308 0\n1.5e308 0\n1.5e308 0\n": (5, "amplitudes too large: their norm overflows"),
+    # blank lines count, and a trailing one is the last line; there is no comment syntax
+    "": (1, "expected header 'dims d1 d2 ...'"),
+    "\n\n": (1, "expected header 'dims d1 d2 ...'"),
+    "\n\ndims 2\n\n1 0\n\n0 x\n\n": (7, "non-numeric amplitude"),
+    "dims 2\n1 0\n\n\n": (4, r"got 1 amplitudes, dims \[2\] require 2"),
+    "dims 2 2\n1.5e308 0\n1.5e308 0\n1.5e308 0\n1.5e308 0\n\n": (6, "their norm overflows"),
+    "dims 2\n# a note\n1 0\n0 0\n": (2, "expected 're im' pair, got '# a note'"),
+}
+
+
+@pytest.mark.parametrize("text", AMPLITUDE_ERRORS)
 def test_amplitude_parse_errors(text):
-    with pytest.raises(tn.ParseError):
+    line, match = AMPLITUDE_ERRORS[text]
+    with pytest.raises(tn.ParseError, match=match) as err:
         parse_amplitudes(text)
+    assert err.value.line == line
+
+
+def test_parse_errors_name_the_first_bad_token():
+    with pytest.raises(tn.ParseError, match="non-integer literal 'y'") as err:
+        tn.parse_dimacs("p cnf 3 1\n1 y z 0\n")
+    assert err.value.line == 2
+    with pytest.raises(tn.ParseError, match="non-integer endpoint 'a'"):
+        tn.parse_graph("nodes 2\na b\n")
+    with pytest.raises(tn.ParseError, match="non-numeric amplitude '1,5'"):
+        parse_amplitudes("dims 2\n1 0\n1,5 x\n")
+    # a non-finite value is refused at its own line, before a later line that is no pair
+    with pytest.raises(tn.ParseError, match="non-finite amplitude 'inf'") as err:
+        parse_amplitudes("dims 2\n0 inf\n1\n")
+    assert err.value.line == 2
 
 
 @pytest.mark.parametrize("text, line", [

@@ -62,6 +62,12 @@ def test_parse_dimacs_multiline_clause():
         ("p cnf 2 -1\n", 1),  # negative count
         ("p cnf 2 1\n0\n", 2),  # a lone terminator: an empty clause
         ("c a comment\nc and another\n", 2),  # comments only: no header
+        ("\n\n", 2),  # blank lines only: no header, at the last line
+        ("", 1),
+        ("c x\n\np cnf 2 1\nc mid\n\n1 x 0\n", 6),  # comment and blank lines count
+        ("p cnf 2 2\n1 0\n\n", 3),  # clause count mismatch, at the trailing blank line
+        ("p cnf 2 1\n1 2\nc trailing comment\n\n", 4),  # missing terminator, at the last line
+        ("p cnf 2 2\n1 2 0\n%\n\n", 3),  # but a "%" line ends the list: count mismatch there
     ],
 )
 def test_parse_dimacs_errors_carry_line_numbers(text, line):
@@ -601,21 +607,29 @@ def test_parse_graph_basic():
     assert g.edges == [(0, 1), (1, 2)]
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "0 1\n",  # missing header
-        "nodes x\n",
-        "nodes 2\n0 5\n",  # endpoint out of range
-        "nodes 2\n0 0\n",  # self-loop
-        "nodes 2\n0 1 2\n",  # malformed edge line
-        "nodes 2\n0 x\n",  # non-integer endpoint
-        "# a comment only\n",  # no header
-    ],
-)
+GRAPH_ERRORS = {  # text: (line, message)
+    "0 1\n": (1, "expected header 'nodes <n>', got '0 1'"),  # missing header
+    "nodes x\n": (1, "non-integer node count 'x'"),
+    "nodes 2\n0 5\n": (2, r"edge \(0, 5\) out of range for 2 nodes"),
+    "nodes 2\n0 0\n": (2, "self-loop at node 0"),
+    "nodes 2\n0 1 2\n": (2, "expected edge 'u v', got '0 1 2'"),  # malformed edge line
+    "nodes 2\n0 x\n": (2, "non-integer endpoint"),
+    "# a comment only\n": (1, "missing 'nodes <n>' header"),
+    # comment-only and blank lines count; a header missing from the whole file is at line 1
+    "\n# one\n\n  # two\n": (1, "missing 'nodes <n>' header"),
+    "# c\n\nnodes 3 # three\n# c\n\n0 x # bad\n1 2\n": (6, "non-integer endpoint"),
+    "nodes 2\n0 1\n\n0 2\n\n": (4, r"edge \(0, 2\) out of range"),  # and a trailing blank line
+    "\n  # c\nnodes -1 # c\n\n": (3, "negative node count in header"),
+    "nodes 3\n0 1\n# 0 0 commented out\n1 1 # not this one\n": (4, "self-loop at node 1"),
+}
+
+
+@pytest.mark.parametrize("text", GRAPH_ERRORS)
 def test_parse_graph_errors(text):
-    with pytest.raises(tn.ParseError):
+    line, match = GRAPH_ERRORS[text]
+    with pytest.raises(tn.ParseError, match=match) as err:
         tn.parse_graph(text)
+    assert err.value.line == line
 
 
 def test_negative_sizes_are_refused():

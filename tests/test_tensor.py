@@ -409,6 +409,19 @@ def test_enumerate_reshapes_guard():
         tn.enumerate_reshapes(t)
 
 
+def test_enumerate_reshapes_is_refused_by_size_before_it_builds():
+    # 5! matrices of 2^20 elements: 2^26.9 elements, past the budget
+    t = tn.Tensor(np.zeros((32, 32, 32, 32)), [tn.WireSpec(f"w{k}", 32, tn.UPPER) for k in range(4)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(tn.SizeLimitError, match="enumerate_reshapes would hold 120 matrices of 1048576 elements"):
+            tn.enumerate_reshapes(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_scalar_item():
     assert tn.scalar(2 + 1j).item() == 2 + 1j
     with pytest.raises(tn.ShapeError):
