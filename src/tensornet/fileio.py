@@ -5,7 +5,8 @@ Every format (DIMACS CNF and edge lists in ``counting``, amplitudes here)
 reads its lines through ``_lines`` and its numbers through ``_numbers``:
 lines are numbered from 1, a line with no token (blank, or only a
 comment) is skipped, and a token that is not the number the format wants
-raises ``ParseError`` naming the token and its line.
+raises ``ParseError`` naming the token and its line.  A number is written
+in ASCII without ``_``.
 
 Amplitude format: first line ``dims d1 d2 ... dn``; each following
 non-empty line holds one ``re im`` pair, in row-major order over the
@@ -37,15 +38,23 @@ def _lines(text: str, comment: str | None = None) -> Iterator[tuple[int, list[st
 def _numbers(no: int | list[int], toks: list[str], kind: type, what: str) -> list:
     """``toks`` converted by ``kind`` (int or float) in one call.  ``no`` is
     their line, or a list of each token's line; the first token that does
-    not convert is refused as ``ParseError(line, "<what> '<token>'")``."""
+    not convert, or that holds ``_`` or a non-ASCII character (``1_0``, a
+    full-width ``３``, which ``int`` and ``float`` take), is refused as
+    ``ParseError(line, "<what> '<token>'")``.  A leading ``+`` is taken."""
+    joined = "".join(toks)
     try:
-        return [*map(kind, toks)]
+        if joined.isascii() and "_" not in joined:
+            return [*map(kind, toks)]
     except ValueError:
-        for k, tok in enumerate(toks):
-            try:
+        pass
+    for k, tok in enumerate(toks):  # only when some token is refused
+        try:
+            if tok.isascii() and "_" not in tok:
                 kind(tok)
-            except ValueError:
-                raise ParseError(no if isinstance(no, int) else no[k], f"{what} {tok!r}") from None
+                continue
+        except ValueError:
+            pass
+        raise ParseError(no if isinstance(no, int) else no[k], f"{what} {tok!r}")
 
 
 def parse_amplitudes(text: str) -> Tensor:

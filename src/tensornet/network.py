@@ -109,7 +109,8 @@ def _load(x: np.ndarray, steps: list) -> np.ndarray:
 class _Fused:
     """One version of a network, fused and then planned: ``_fuse`` builds
     it, ``TensorNetwork._plan`` merges it in place, and ``run`` contracts
-    by it.
+    by it.  ``merge`` is the one place a merge is recorded: it appends the
+    pair to ``merges`` and its layout to ``layouts``, and raises ``peak``.
 
     Index names: a bond between two other nodes is its bond index, a group
     of spiders is ``-1 - (its smallest spider id)``, an open wire of another
@@ -144,7 +145,9 @@ class _Fused:
         and b's laid out (batch, summed, free of b); the result holds
         (batch, free of a, free of b).  ``layouts`` gains the merge's
         (a, b, the node that keeps the result, a's axis order, a's matmul
-        shape, b's axis order, b's matmul shape, the result's dims)."""
+        shape, b's axis order, b's matmul shape, the result's dims),
+        ``merges`` gains (a, b), and ``peak`` rises to the result's size if
+        that is larger."""
         axes, holders, kept, dims = self.axes, self.holders, self.kept, self.dims
         keep, drop = (a, b) if a < b else (b, a)
         xa, xb = axes.pop(a), axes.pop(b)
@@ -184,6 +187,9 @@ class _Fused:
         nbatch, m, n = math.prod(batch_dims), math.prod(dims_a), math.prod(dims_b)
         del self.sizes[drop]
         self.sizes[keep] = size = nbatch * m * n
+        if size > self.peak:
+            self.peak = size
+        self.merges.append((a, b))
         self.layouts.append((a, b, keep, (*batch_a, *order_a, *summed_a), (nbatch, m, k),
                              (*batch_b, *summed_b, *order_b), (nbatch, k, n), (*batch_dims, *dims_a, *dims_b)))
         return size
@@ -256,13 +262,11 @@ class TensorNetwork:
         self._bonds: list[tuple[End, End]] = []
         self._bond_of: dict[End, int] = {}  # bonded end -> index in _bonds (a spider wire: its latest)
         self._links: list[tuple[int, int]] = []  # the node ids of every bond between two spiders
-        self._ends = 0  # wire ends of all nodes: the network is closed when every one is bonded
         self._deltas: dict[int, Tensor] = {}  # id -> tensor checked by add_spider
         self._planned: _Fused | None = None  # the latest version's planned record: see _plan
 
     def add(self, t: Tensor) -> int:
         nid = len(self._nodes)  # nodes are never removed
-        self._ends += len(t.wires)
         self._nodes[nid] = t
         return nid
 
@@ -349,16 +353,14 @@ class TensorNetwork:
 
         group_of = {s: -1 - find(s) for s in root}  # spider -> its group's name
         bonds, bond_of = self._bonds, self._bond_of
-        closed = len(bond_of) == self._ends  # then no spider wire is open
         wires, holders, dims, open_ends, open_names = {}, {}, {}, [], []
         for nid, t in self._nodes.items():  # ids are added in increasing order
             if nid in group_of:
-                if not closed:
-                    for w in t.wires:
-                        end = (nid, w.label)
-                        if end not in bond_of:
-                            open_ends.append(end)
-                            open_names.append(group_of[nid])
+                for w in t.wires:
+                    end = (nid, w.label)
+                    if end not in bond_of:
+                        open_ends.append(end)
+                        open_names.append(group_of[nid])
                 continue
             ns = wires[nid] = []
             for w in t.wires:
@@ -419,10 +421,11 @@ class TensorNetwork:
         H heap entries; planning random 3-SAT with 300 variables and 600
         clauses takes about 0.1 s on 2 vCPUs.
 
-        The plan is made once per version of the network (see ``_plan``),
-        and it lays out every merge (``_Fused.merge``) for ``contract_all``
-        to replay.  Every call returns a fresh copy of its merges and peak,
-        so changing it changes nothing else.
+        The plan is made once per version of the network (see ``_plan``).
+        Its record keeps the plan: ``_Fused.merge`` records each merge, lays
+        it out for ``contract_all`` to replay and raises the peak.  Every
+        call returns a fresh copy of the record's merges and peak, so
+        changing it changes nothing else.
         """
         program = self._plan()
         return ContractionPlan(list(program.merges), program.peak)
@@ -430,13 +433,15 @@ class TensorNetwork:
     def _plan(self) -> _Fused:
         """The current version's record, planned: made once per version by
         ``_fuse`` and merged in place by the greedy of ``greedy_plan``, so
-        its ``axes`` then hold the nodes left after the merges."""
+        its ``axes`` then hold the nodes left after the merges.  Each merge
+        records itself, its layout and the peak (``_Fused.merge``); this
+        loop only chooses them."""
         program = self._planned
         if program is not None and program.version == len(self._nodes) + len(self._bonds):
             return program
         program = self._fuse()
         axes, holders, sizes, dims, kept = program.axes, program.holders, program.sizes, program.dims, program.kept
-        merges, peak, merge = program.merges, program.peak, program.merge
+        merge = program.merge
         heappush, heappop = heapq.heappush, heapq.heappop
         current = {}  # index -> the heap entry (size, sorted holders, index) of its bucket
         heap = []
@@ -477,19 +482,12 @@ class TensorNetwork:
             del current[x]
             queue = [(sizes[g], g) for g in group]  # two or more
             heapq.heapify(queue)
-            while True:
+            while len(queue) > 1:  # merge the two smallest; the smaller id keeps the result
                 a, b = heappop(queue)[1], heappop(queue)[1]
                 if a > b:
                     a, b = b, a
-                merges.append((a, b))
-                merged = merge(a, b)
-                if merged > peak:
-                    peak = merged
-                if not queue:
-                    break
-                heappush(queue, (merged, a))
+                heappush(queue, (merge(a, b), a))
             push(axes[a], a)  # every index of the result: its bucket holds a
-        program.peak = peak
         self._planned = program
         return program
 

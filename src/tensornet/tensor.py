@@ -330,19 +330,22 @@ def devectorize(a: Tensor) -> Tensor:
     return Tensor(a.data, [WireSpec(w0.label, w0.dim, UPPER), WireSpec(w1.label, w1.dim, LOWER)])
 
 
-def enumerate_reshapes(a: Tensor, max_wires: int = 4) -> list[np.ndarray]:
+MAX_RESHAPE_WIRES = 4  # enumerate_reshapes refuses a tensor with more wires
+
+
+def enumerate_reshapes(a: Tensor) -> list[np.ndarray]:
     """All distinct reshapes reachable with cups, caps, and SWAPs.
 
     A configuration is an ordered split of the wires into an upper group
     and a lower group; its component array is the matrix whose row index
     runs over the upper group and column index over the lower group.  For
     a generic order-(p,q) tensor there are (p+q+1)! distinct matrices.
-    More than ``max_wires`` wires, or (n+1)! matrices of more than
+    More than ``MAX_RESHAPE_WIRES`` (4) wires, or (n+1)! matrices of more than
     ``MAX_ELEMENTS`` elements in all, are refused before any is built.
     """
     n = len(a.wires)
-    if n > max_wires:
-        raise SizeLimitError(f"enumerate_reshapes limited to {max_wires} wires, got {n}")
+    if n > MAX_RESHAPE_WIRES:
+        raise SizeLimitError(f"enumerate_reshapes limited to {MAX_RESHAPE_WIRES} wires, got {n}")
     if math.factorial(n + 1) * a.data.size > MAX_ELEMENTS:
         raise SizeLimitError(f"enumerate_reshapes would hold {math.factorial(n + 1)} matrices of {a.data.size} "
                              f"elements, over the limit of 2^{MAX_ELEMENTS.bit_length() - 1} elements")

@@ -105,6 +105,38 @@ def test_parse_errors_name_the_first_bad_token():
     assert err.value.line == 2
 
 
+NOT_ASCII_DIGITS = {  # text -> (line, message): int() and float() take each refused token
+    ("count-sat", "p cnf 10 1\n1_0 0\n"): (2, "non-integer literal '1_0'"),
+    ("count-sat", "p cnf 1_0 1\n1 0\n"): (1, "non-integer count '1_0'"),
+    ("count-sat", "c\np cnf 3 1\n1 ３ 0\n"): (3, "non-integer literal '３'"),
+    ("count-sat", "p cnf 3 1\n1_0 x 0\n"): (2, "non-integer literal '1_0'"),
+    ("color-count", "nodes 4\n0 1_0\n"): (2, "non-integer endpoint '1_0'"),
+    ("color-count", "nodes ３\n"): (1, "non-integer node count '３'"),
+    ("mps", "dims 2\n1_000.5 0\n0 0\n"): (2, "non-numeric amplitude '1_000.5'"),
+    ("mps", "dims 2\n1 0\n\n0 ３\n"): (4, "non-numeric amplitude '３'"),
+    ("mps", "dims 1_0\n"): (1, "non-integer dimension '1_0'"),
+}
+PARSERS = {"count-sat": tn.parse_dimacs, "color-count": tn.parse_graph, "mps": parse_amplitudes}
+
+
+@pytest.mark.parametrize("command, text", NOT_ASCII_DIGITS)
+def test_numbers_with_underscores_or_non_ascii_digits_are_refused(tmp_path, capsys, command, text):
+    line, message = NOT_ASCII_DIGITS[command, text]
+    with pytest.raises(tn.ParseError, match=message) as err:
+        PARSERS[command](text)
+    assert err.value.line == line
+    f = tmp_path / "input.txt"
+    f.write_text(text, encoding="utf-8")
+    assert main([command, str(f)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {f}:{line}: {message}")
+
+
+def test_a_leading_plus_is_a_number():
+    assert tn.parse_dimacs("p cnf +2 1\n+1 -2 0\n") == tn.parse_dimacs("p cnf 2 1\n1 -2 0\n")
+    assert tn.parse_graph("nodes +2\n+0 1\n").edges == [(0, 1)]
+    assert parse_amplitudes("dims 2\n+1 0\n0 +0.5e+0\n").data.tolist() == [1, 0.5j]
+
+
 @pytest.mark.parametrize("text, line", [
     ("dims 2\nnan 0\n0 0\n", 2),
     ("dims 2\n\n1 0\n\n0 inf\n", 5),

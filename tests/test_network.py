@@ -504,8 +504,8 @@ def laid_out(net, merges):
     of the network's current version: a fresh record merges and lays them
     out, as the planner does its own."""
     program = net._fuse()
-    program.peak = max([program.peak, *(program.merge(a, b) for a, b in merges)])
-    program.merges = list(merges)
+    for a, b in merges:
+        program.merge(a, b)
     net._planned = program
     return tn.network.ContractionPlan(list(merges), program.peak)
 
@@ -1139,4 +1139,31 @@ def test_no_merge_is_larger_than_the_plan_peak(monkeypatch):
         assert len(realized) == len(net.greedy_plan().merges)
         assert max(realized, default=0) <= net.greedy_plan().peak_size
         merges += len(realized)
+    assert merges > 1000
+
+
+def test_a_record_merged_alone_keeps_the_planned_merges_layouts_and_peak():
+    # _Fused.merge records each merge, its layout and the peak itself: a fresh
+    # record merged in the planner's order, with nothing else, ends as the
+    # planned record does
+    gen = np.random.default_rng(28)
+
+    def prism(k):  # k = 4 is the cube
+        return tn.Graph(2 * k, [(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % k) for i in range(k)]
+                        + [(i, k + i) for i in range(k)])
+
+    graphs = [tn.Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)]), *map(prism, (3, 4, 5, 6)),
+              tn.Graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                       + [(i, 5 + i) for i in range(5)])]
+    nets = random_formula_networks(gen) + [tn.counting.coloring_network(g) for g in graphs]
+    nets += [tn.counting.formula_to_network(random_3sat(n, m, gen)) for n, m in [(8, 16), (20, 40), (50, 100)] * 4]
+    merges = 0
+    for net in nets:
+        plan, planned, record = net.greedy_plan(), net._plan(), net._fuse()
+        for a, b in plan.merges:
+            record.merge(a, b)
+        assert record.merges == planned.merges == plan.merges
+        assert record.layouts == planned.layouts
+        assert record.peak == planned.peak == plan.peak_size
+        merges += len(plan.merges)
     assert merges > 1000
