@@ -1,5 +1,12 @@
 """Exception types shared across the package, and the one element limit
-on dense arrays that both the catalog and the contraction engine enforce."""
+on dense arrays.
+
+``MAX_ELEMENTS`` is the package's only element budget: the catalog
+(``check_elements``), the contraction engine (``contract_all``) and
+``enumerate_reshapes`` read it from this module each time they check, so
+patching it here changes every refusal, and each refusal's message ends
+with the same ``over_limit`` tail.
+"""
 
 # Largest array, in elements, that the package builds (1 GiB of complex128).
 MAX_ELEMENTS = 2**26
@@ -44,7 +51,10 @@ def check_elements(dim: int, order: int, what: str) -> None:
     # order >= bit_length already exceeds the limit for dim >= 2; checking
     # it first keeps dim ** order small for huge orders
     if dim > 1 and (order >= MAX_ELEMENTS.bit_length() or dim**order > MAX_ELEMENTS):
-        raise SizeLimitError(
-            f"{what} would have {dim}^{order} elements, over the limit of "
-            f"2^{MAX_ELEMENTS.bit_length() - 1} elements"
-        )
+        raise over_limit(f"{what} would have {dim}^{order} elements")
+
+
+def over_limit(head: str) -> SizeLimitError:
+    """The refusal of something past ``MAX_ELEMENTS``: ``head``, then the
+    limit, read as it stands now."""
+    return SizeLimitError(f"{head}, over the limit of 2^{MAX_ELEMENTS.bit_length() - 1} elements")

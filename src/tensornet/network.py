@@ -23,9 +23,10 @@ chain and the Penrose colouring network are built this way.
 
 This is the package's one contraction engine.  ``contract``,
 ``tensor_product`` and ``trace`` are networks of one or two nodes run by
-``contract_all``, so they share its checks, its element budget
-(``MAX_ELEMENTS``) and its one rule for open-wire labels: a label already
-taken by an earlier open wire gets the first free suffix ``_1``, ``_2``, ...
+``contract_all``, so they share its checks, the package's one element
+budget (``errors.MAX_ELEMENTS``) and its one rule for open-wire labels:
+a label already taken by an earlier open wire gets the first free suffix
+``_1``, ``_2``, ...
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from typing import Iterable
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from . import catalog
-from .errors import MAX_ELEMENTS, ShapeError, SizeLimitError, WireError
+from . import catalog, errors
+from .errors import ShapeError, WireError
 from .tensor import UPPER, Tensor, WireSpec, _adopt, conjugate, dagger, ket, raise_wire
 
 End = tuple[int, str]  # (node id, wire label)
@@ -109,8 +110,9 @@ def _load(x: np.ndarray, steps: list) -> np.ndarray:
 class _Fused:
     """One version of a network, fused and then planned: ``_fuse`` builds
     it, ``TensorNetwork._plan`` merges it in place, and ``run`` contracts
-    by it.  ``merge`` is the one place a merge is recorded: it appends the
-    pair to ``merges`` and its layout to ``layouts``, and raises ``peak``.
+    by it.  ``layouts`` is the one record of each merge, pair included, and
+    ``merge`` the one place one is recorded: it appends the merge's layout
+    and raises ``peak``.
 
     Index names: a bond between two other nodes is its bond index, a group
     of spiders is ``-1 - (its smallest spider id)``, an open wire of another
@@ -133,8 +135,7 @@ class _Fused:
     loose: list  # open spider groups that no node holds
     scale: float  # product of the dims of closed spider groups that no node holds
     peak: int  # the size of the largest node, loaded or merged
-    merges: list = field(default_factory=list)  # (a, b) of each merge, in order
-    layouts: list = field(default_factory=list)  # one per merge, see merge
+    layouts: list = field(default_factory=list)  # one per merge, in order, starting (a, b, keep): see merge
 
     def merge(self, a: int, b: int) -> int:
         """Merge a and b (the smaller id keeps the result); return its size.
@@ -145,9 +146,9 @@ class _Fused:
         and b's laid out (batch, summed, free of b); the result holds
         (batch, free of a, free of b).  ``layouts`` gains the merge's
         (a, b, the node that keeps the result, a's axis order, a's matmul
-        shape, b's axis order, b's matmul shape, the result's dims),
-        ``merges`` gains (a, b), and ``peak`` rises to the result's size if
-        that is larger."""
+        shape, b's axis order, b's matmul shape, the result's dims): the
+        pair as given, and everything ``run`` needs to replay it.  ``peak``
+        rises to the result's size if that is larger."""
         axes, holders, kept, dims = self.axes, self.holders, self.kept, self.dims
         keep, drop = (a, b) if a < b else (b, a)
         xa, xb = axes.pop(a), axes.pop(b)
@@ -189,7 +190,6 @@ class _Fused:
         self.sizes[keep] = size = nbatch * m * n
         if size > self.peak:
             self.peak = size
-        self.merges.append((a, b))
         self.layouts.append((a, b, keep, (*batch_a, *order_a, *summed_a), (nbatch, m, k),
                              (*batch_b, *summed_b, *order_b), (nbatch, k, n), (*batch_dims, *dims_a, *dims_b)))
         return size
@@ -422,20 +422,21 @@ class TensorNetwork:
         clauses takes about 0.1 s on 2 vCPUs.
 
         The plan is made once per version of the network (see ``_plan``).
-        Its record keeps the plan: ``_Fused.merge`` records each merge, lays
-        it out for ``contract_all`` to replay and raises the peak.  Every
-        call returns a fresh copy of the record's merges and peak, so
-        changing it changes nothing else.
+        Its record keeps the plan: ``_Fused.merge`` appends each merge's
+        layout, which starts with the pair, for ``contract_all`` to replay,
+        and raises the peak.  Every call returns a fresh copy of the pairs
+        of the record's layouts and its peak, so changing it changes nothing
+        else.
         """
         program = self._plan()
-        return ContractionPlan(list(program.merges), program.peak)
+        return ContractionPlan([lay[:2] for lay in program.layouts], program.peak)
 
     def _plan(self) -> _Fused:
         """The current version's record, planned: made once per version by
         ``_fuse`` and merged in place by the greedy of ``greedy_plan``, so
         its ``axes`` then hold the nodes left after the merges.  Each merge
-        records itself, its layout and the peak (``_Fused.merge``); this
-        loop only chooses them."""
+        records its layout and the peak (``_Fused.merge``); this loop only
+        chooses them."""
         program = self._planned
         if program is not None and program.version == len(self._nodes) + len(self._bonds):
             return program
@@ -509,16 +510,14 @@ class TensorNetwork:
         no node holds, multiply as Python numbers.
 
         Raises ``SizeLimitError`` before contracting anything when the
-        plan's peak, or the result, is more than ``MAX_ELEMENTS`` elements.
+        plan's peak, or the result, is more than ``errors.MAX_ELEMENTS``
+        elements.
         """
         plan = self.greedy_plan()
         program = self._plan()  # made by greedy_plan at this version
         need = max(plan.peak_size, math.prod([program.dims[n] for n in program.open_names]))
-        if need > MAX_ELEMENTS:
-            raise SizeLimitError(
-                f"contraction needs a {need}-element tensor (2^{math.log2(need):.1f}), "
-                f"over the limit of 2^{math.log2(MAX_ELEMENTS):.0f} elements"
-            )
+        if need > errors.MAX_ELEMENTS:
+            raise errors.over_limit(f"contraction needs a {need}-element tensor (2^{math.log2(need):.1f})")
         return program.run(self._nodes)
 
 
@@ -534,7 +533,7 @@ def contract(a: Tensor, pairs: Iterable[tuple[str, str]], b: Tensor | None = Non
     wires keep their relative order, ``a``'s before ``b``'s, and a label
     already taken gets the first free suffix ``_1``, ``_2``, ...  ``connect``
     checks each pair, and ``contract_all`` refuses a merge or result of
-    more than ``MAX_ELEMENTS`` elements before it allocates.
+    more than ``errors.MAX_ELEMENTS`` elements before it allocates.
     """
     net = TensorNetwork()
     na = net.add(a)
@@ -570,16 +569,22 @@ def from_terms(terms) -> TensorNetwork:
     the index on each of its wires, in wire order.  The two wires that
     carry one key are bonded (a key twice on one node is a traced
     self-loop); a wire whose key appears nowhere else stays open and is
-    relabeled to its key.
+    relabeled to its key.  A term whose keys do not name each of its wires
+    once raises ``ShapeError``, and a key on more than two wires
+    ``WireError``, each naming the term's index.
     """
     terms = list(terms)
     count = collections.Counter(k for _, keys in terms for k in keys)
     net, ends = TensorNetwork(), {}
-    for t, keys in terms:
-        pairs = list(zip(t.labels, keys, strict=True))
+    for i, (t, keys) in enumerate(terms):
+        if len(keys) != len(t.wires):
+            raise ShapeError(f"term {i}: keys {keys!r} for {len(t.wires)} wires")
+        pairs = list(zip(t.labels, keys))
         opened = {lab: key for lab, key in pairs if count[key] == 1}
         nid = net.add(t.relabeled(opened) if opened else t)
         for lab, key in pairs:  # the first wire with a key waits for the second
+            if count[key] > 2:
+                raise WireError(f"term {i}: key {key!r} on {count[key]} wires")
             first = ends.setdefault(key, (nid, lab))
             if first != (nid, lab):
                 net.connect(first, (nid, lab))

@@ -24,7 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MAX_ELEMENTS, ShapeError, SizeLimitError, WireError
+from . import errors
+from .errors import ShapeError, SizeLimitError, WireError
 
 
 class Flavor(enum.Enum):
@@ -341,14 +342,14 @@ def enumerate_reshapes(a: Tensor) -> list[np.ndarray]:
     runs over the upper group and column index over the lower group.  For
     a generic order-(p,q) tensor there are (p+q+1)! distinct matrices.
     More than ``MAX_RESHAPE_WIRES`` (4) wires, or (n+1)! matrices of more than
-    ``MAX_ELEMENTS`` elements in all, are refused before any is built.
+    ``errors.MAX_ELEMENTS`` elements in all, are refused before any is built.
     """
     n = len(a.wires)
     if n > MAX_RESHAPE_WIRES:
         raise SizeLimitError(f"enumerate_reshapes limited to {MAX_RESHAPE_WIRES} wires, got {n}")
-    if math.factorial(n + 1) * a.data.size > MAX_ELEMENTS:
-        raise SizeLimitError(f"enumerate_reshapes would hold {math.factorial(n + 1)} matrices of {a.data.size} "
-                             f"elements, over the limit of 2^{MAX_ELEMENTS.bit_length() - 1} elements")
+    count = math.factorial(n + 1)
+    if count * a.data.size > errors.MAX_ELEMENTS:
+        raise errors.over_limit(f"enumerate_reshapes would hold {count} matrices of {a.data.size} elements")
     dims = [w.dim for w in a.wires]
     seen: dict[tuple, np.ndarray] = {}
     for perm in itertools.permutations(range(n)):

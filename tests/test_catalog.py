@@ -163,7 +163,7 @@ def test_oversized_catalog_tensors_are_refused_before_allocating(monkeypatch):
 
 
 def test_catalog_limit_is_inclusive(monkeypatch):
-    assert network.MAX_ELEMENTS == errors.MAX_ELEMENTS == 2**26
+    assert errors.MAX_ELEMENTS == 2**26
     monkeypatch.setattr(errors, "MAX_ELEMENTS", 2**4)
     assert catalog.copy_tensor(3, 1).data.size == 2**4
     assert catalog.xor_tensor(4, 0).data.size == 2**4
@@ -181,6 +181,18 @@ def test_catalog_limit_is_inclusive(monkeypatch):
         catalog.swap(3)
     with pytest.raises(tn.SizeLimitError):
         catalog.antisymmetrizer(2, 3)
+
+
+def test_one_patched_budget_refuses_in_the_catalog_the_engine_and_reshapes(monkeypatch):
+    # errors.MAX_ELEMENTS is the one budget, read when each check runs
+    monkeypatch.setattr(errors, "MAX_ELEMENTS", 2**4)
+    for build in (lambda: catalog.copy_tensor(5, 0),  # 32 elements
+                  lambda: network.contract(tn.ket(np.ones(32)), [], tn.ket([1, 1])),  # 64
+                  lambda: tn.enumerate_reshapes(tn.ket([1, 1, 1, 1]))):  # 3! matrices of 4
+        with pytest.raises(tn.SizeLimitError, match="over the limit of 2\\^4 elements$"):
+            build()
+    assert network.contract(tn.ket(np.ones(8)), [], tn.ket([1, 1])).data.size == 2**4
+    assert len(tn.enumerate_reshapes(tn.ket([1, 1]))) == 2
 
 
 def test_catalog_matches_loop_references():

@@ -690,6 +690,15 @@ def test_planar_suite_matches_brute_force():
         assert tn.count_3_edge_colorings(g).count == tn.brute_force_colorings(g)
 
 
+def test_default_labelled_prisms_count_their_closed_form():
+    # past brute force (it stops at the 6-prism): the k-prism has 2^k + 8
+    # 3-edge-colourings for even k and 2^k - 2 for odd k
+    for k in [*range(3, 31), 50]:
+        prism = tn.Graph(2 * k, [(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % k) for i in range(k)]
+                         + [(i, k + i) for i in range(k)])
+        assert tn.count_3_edge_colorings(prism).count == 2**k + (8 if k % 2 == 0 else -2), k
+
+
 def test_k33_contraction_vanishes_but_colorings_exist():
     assert tn.count_3_edge_colorings(K33).count == 0
     assert tn.brute_force_colorings(K33) == 12

@@ -205,10 +205,11 @@ def test_a_key_twice_on_one_node_is_a_traced_self_loop():
 def test_keys_must_name_every_wire_once():
     m = tn.matrix(np.eye(2))
     for keys in ("i", "ijk"):
-        with pytest.raises(ValueError):
-            from_terms([(m, keys)])
-    with pytest.raises(tn.WireError):  # a key carried by three wires
-        from_terms([(m, "ij"), (m, "jk"), (m, "jl")])
+        with pytest.raises(tn.ShapeError, match=f"term 1: keys '{keys}' for 2 wires"):
+            from_terms([(m, "ab"), (m, keys)])
+    for rest in ([(m, "jk"), (m, "jl")], [(m, "jj")]):  # a key on three wires: the first term that has it is named
+        with pytest.raises(tn.WireError, match="term 1: key 'j' on 3 wires"):
+            from_terms([(m, "ab"), (m, "ij"), *rest])
 
 
 # -- the same networks and values as the add/connect builders --------------

@@ -325,7 +325,7 @@ def test_greedy_plan_is_made_once_per_version(monkeypatch):
 def test_a_record_held_from_fuse_is_not_changed_by_planning_or_contracting():
     # the planner merges a record of its own in place: a caller's is left as it was built
     def planned_fields(r):
-        return r.axes, r.sizes, r.holders, r.merges, r.peak, r.layouts
+        return r.axes, r.sizes, r.holders, r.peak, r.layouts
 
     gen = np.random.default_rng(8)
     for net in (random_feature_network(gen), tn.formula_to_network(random_3sat(6, 12, gen))):
@@ -335,7 +335,7 @@ def test_a_record_held_from_fuse_is_not_changed_by_planning_or_contracting():
         net.contract_all()
         assert plan.merges and planned_fields(held) == built
         assert planned_fields(net._fuse()) == built  # a record built afresh is the same
-        assert net._plan() is not held and net._plan().merges == plan.merges
+        assert net._plan() is not held and [lay[:2] for lay in net._plan().layouts] == plan.merges
 
 
 def test_planning_contracting_and_open_wires_fuse_once_per_version(monkeypatch):
@@ -1143,9 +1143,9 @@ def test_no_merge_is_larger_than_the_plan_peak(monkeypatch):
 
 
 def test_a_record_merged_alone_keeps_the_planned_merges_layouts_and_peak():
-    # _Fused.merge records each merge, its layout and the peak itself: a fresh
-    # record merged in the planner's order, with nothing else, ends as the
-    # planned record does
+    # _Fused.merge records each merge's layout, pair first, and the peak
+    # itself: a fresh record merged in the planner's order, with nothing
+    # else, ends as the planned record does
     gen = np.random.default_rng(28)
 
     def prism(k):  # k = 4 is the cube
@@ -1162,8 +1162,8 @@ def test_a_record_merged_alone_keeps_the_planned_merges_layouts_and_peak():
         plan, planned, record = net.greedy_plan(), net._plan(), net._fuse()
         for a, b in plan.merges:
             record.merge(a, b)
-        assert record.merges == planned.merges == plan.merges
         assert record.layouts == planned.layouts
+        assert [lay[:2] for lay in record.layouts] == plan.merges
         assert record.peak == planned.peak == plan.peak_size
         merges += len(plan.merges)
     assert merges > 1000
