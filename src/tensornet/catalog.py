@@ -136,7 +136,7 @@ def epsilon(n: int) -> Tensor:
     data = np.zeros((n,) * n, dtype=complex)
     for perm in itertools.permutations(range(n)):
         data[perm] = _perm_sign(perm)
-    return Tensor(data, [WireSpec(f"i{k}", n, LOWER) for k in range(n)])
+    return _gate(data, 0, n, n)
 
 
 def _perm_sign(perm) -> int:
@@ -157,9 +157,7 @@ def antisymmetrizer(n: int, d: int) -> Tensor:
             # j[perm[k]] = i[k]: argsort inverts the permutation
             data[i_tup + tuple(i_tup[k] for k in np.argsort(perm))] += _perm_sign(perm)
         data /= math.factorial(n)
-    wires = [WireSpec(f"o{k}", d, UPPER) for k in range(n)]
-    wires += [WireSpec(f"i{k}", d, LOWER) for k in range(n)]
-    return Tensor(data, wires)
+    return _gate(data, n, n, d)
 
 
 def and_tensor() -> Tensor:

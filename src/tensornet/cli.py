@@ -18,18 +18,9 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import counting, mps, network
 from .decomp import TrimPolicy, _check_order
-from .errors import (
-    DegenerateTrimError,
-    NonIntegralError,
-    ParseError,
-    ShapeError,
-    SizeLimitError,
-    TensorError,
-)
+from .errors import DegenerateTrimError, NonIntegralError, ParseError, ShapeError
 from .fileio import read_amplitudes
 from .tensor import Tensor, _unit
 
@@ -42,8 +33,6 @@ PLANARITY_CAVEAT = (
     "note: the contraction counts colorings only for planar graphs with a "
     "planar wire order; planarity is not verified"
 )
-
-log = logging.getLogger("tensornet")
 
 
 def _fmt(x) -> str:
@@ -242,7 +231,7 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (TensorError, SizeLimitError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

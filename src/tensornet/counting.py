@@ -15,12 +15,12 @@ bonded to the spiders after the clauses: a spider with one leg per reader
 already sums over the variable, so a count caps only the unused
 variables, with <+| (a scalar factor 2); |f> bonds a two-wire COPY spider
 to every variable for its open wire; <f|f> bonds each variable's ket
-spider to its bra spider.  The clause pieces are built once per process,
-in a table keyed per piece by its signs, where each clause looks its
-pieces up; the cap is built once per process and the COPY tensors once
-per network.  Counts are logged at DEBUG level on the ``tensornet``
-logger with the network size (every node and bond, spiders included), the
-plan peak, the planning time and the contraction time.
+spider to its bra spider.  The clause pieces and the cap are built once
+per process, each by a cached function (``_piece``, keyed by a piece's
+signs and kind, and ``_cap``), and the COPY tensors once per network.
+Counts are logged at DEBUG level on the ``tensornet`` logger with the
+network size (every node and bond, spiders included), the plan peak, the
+planning time and the contraction time.
 """
 
 from __future__ import annotations
@@ -146,11 +146,18 @@ def parse_dimacs(text: str) -> CnfFormula:
     return CnfFormula(num_vars, clauses)
 
 
-def _piece(signs: tuple[bool, ...], flag_in: bool, flag_out: bool) -> Tensor:
+@functools.cache
+def _piece(signs: tuple[bool, ...], flag_in: bool, flag_out: bool, bra: bool) -> Tensor:
     """One clause piece: 1 except 0 where every literal it reads is false.
     It reads literals of the given signs on its LOWER wires ``i0, i1, ...``
     by position within the piece, plus the incoming flag on ``s0`` if
-    ``flag_in``, and emits the updated flag on ``s1`` if ``flag_out``."""
+    ``flag_in``, and emits the updated flag on ``s1`` if ``flag_out``; with
+    ``bra`` it is the dagger of that piece.
+
+    Tensors are immutable, so the cache builds each piece once per process
+    and every network shares it.  A piece's wires are labelled by position
+    within the piece, so the cache holds one entry per sign pattern of each
+    piece kind, however wide the clauses or many the formulas."""
     read = signs + (True,) * flag_in  # the incoming flag reads like a positive literal
     data = np.ones((2,) * len(read), dtype=complex)
     data[tuple(0 if p else 1 for p in read)] = 0.0
@@ -158,15 +165,8 @@ def _piece(signs: tuple[bool, ...], flag_in: bool, flag_out: bool) -> Tensor:
     if flag_out:
         data = np.stack([1 - data, data], axis=-1)
         wires.append(WireSpec("s1", 2, UPPER))
-    return Tensor(data, wires)
-
-
-# Clause pieces, ket and bra, keyed by ``_piece``'s arguments and bra.
-# Tensors are immutable, so each is built once per process and shared by
-# every network.  A piece's wires are labelled by position within the
-# piece, so the table holds one entry per sign pattern of each piece kind,
-# however wide the clauses or many the formulas.
-_SHARED: dict[tuple[tuple[bool, ...], bool, bool, bool], Tensor] = {}
+    t = Tensor(data, wires)
+    return dagger(t) if bra else t
 
 
 @functools.cache
@@ -178,8 +178,8 @@ def _cap() -> Tensor:
 def _pieces(clause: tuple[int, ...], bra: bool) -> list[tuple[Tensor, tuple[int, ...]]]:
     """Pieces of order <= 3 whose contraction is the clause tensor (1 on
     every assignment except the single falsifying one, where it is 0), each
-    as its tensor from ``_SHARED`` and the literals it reads on its wires
-    ``i0, i1, ...``, in the order the pieces chain.
+    as its tensor from the cached ``_piece`` and the literals it reads on
+    its wires ``i0, i1, ...``, in the order the pieces chain.
 
     A clause of width w <= 3 is one piece.  A wider clause is a chain of
     w - 2 pieces joined by a dimension-2 flag, 1 once some earlier literal
@@ -190,14 +190,8 @@ def _pieces(clause: tuple[int, ...], bra: bool) -> list[tuple[Tensor, tuple[int,
     """
     groups = [clause] if len(clause) <= 3 else [clause[:2], *[(lit,) for lit in clause[2:-2]], clause[-2:]]
     last = len(groups) - 1
-    out = []
-    for g, lits in enumerate(groups):
-        key = (tuple([lit > 0 for lit in lits]), g > 0, g < last, bra)
-        t = _SHARED.get(key)
-        if t is None:
-            t = _SHARED[key] = dagger(_piece(*key[:3])) if bra else _piece(*key[:3])
-        out.append((t, lits))
-    return out
+    return [(_piece(tuple([lit > 0 for lit in lits]), g > 0, g < last, bra), lits)
+            for g, lits in enumerate(groups)]
 
 
 def _formula_layer(net: TensorNetwork, f: CnfFormula, bra: bool) -> list[tuple[int, str]]:
@@ -219,8 +213,8 @@ def _formula_layer(net: TensorNetwork, f: CnfFormula, bra: bool) -> list[tuple[i
     reversed wire order does not matter.
 
     The COPY tensor is built once per call, the clause pieces once per
-    process (``_SHARED``); the same instance is added at every node that
-    needs it.
+    process (the cached ``_piece``); the same instance is added at every
+    node that needs it.
     """
     copy = dagger(catalog.copy_tensor(1, 0)) if bra else catalog.copy_tensor(1, 0)
     ends = [(net.add_spider(copy), "o0") for _ in range(f.num_vars)]
@@ -399,6 +393,14 @@ def _incidence_orders(g: Graph) -> list[list[int]]:
     return [[idx for (_, idx) in sorted(lst)] for lst in incid]
 
 
+def _require_3_regular(g: Graph) -> None:
+    """Raise ``ShapeError`` naming the first node whose degree is not 3."""
+    deg = collections.Counter(v for edge in g.edges for v in edge)  # no list over every declared node
+    for v in range(g.num_nodes):
+        if deg[v] != 3:
+            raise ShapeError(f"graph is not 3-regular: node {v} has degree {deg[v]}")
+
+
 def coloring_network(g: Graph, node_orders: list[list[int]] | None = None) -> TensorNetwork:
     """One order-3 epsilon per node, one wire per edge.
 
@@ -407,10 +409,7 @@ def coloring_network(g: Graph, node_orders: list[list[int]] | None = None) -> Te
     neighbor id.  The sign of individual terms, and hence the planar
     guarantee, depends on this order.
     """
-    deg = collections.Counter(v for edge in g.edges for v in edge)  # no list over every declared node
-    for v in range(g.num_nodes):
-        if deg[v] != 3:
-            raise ShapeError(f"graph is not 3-regular: node {v} has degree {deg[v]}")
+    _require_3_regular(g)
     if node_orders is not None and len(node_orders) != g.num_nodes:
         raise ShapeError(f"node_orders has {len(node_orders)} entries for {g.num_nodes} nodes")
     orders = node_orders if node_orders is not None else _incidence_orders(g)
@@ -443,6 +442,7 @@ def brute_force_colorings(g: Graph) -> int:
     m = len(g.edges)
     if m > COLOR_GUARD_EDGES:
         raise SizeLimitError(f"brute force limited to {COLOR_GUARD_EDGES} edges, got {m}")
+    _require_3_regular(g)  # before any per-node list
     incid = _incidence_orders(g)  # the all-distinct test below is symmetric: any order will do
     total = 0
     chunk = 3**13

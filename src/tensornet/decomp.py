@@ -39,8 +39,7 @@ def matricize(t: Tensor, row_labels: Sequence[str], col_labels: Sequence[str]) -
         raise WireError(
             f"row {row_labels} + col {col_labels} is not a partition of wires {list(t.labels)}"
         )
-    perm = [t.axis(l) for l in row_labels + col_labels]
-    data = np.transpose(t.data, perm)
+    data = permute(t, row_labels + col_labels).data
     row_dim = math.prod(t.wire(l).dim for l in row_labels)
     m = Tensor(
         data.reshape(row_dim, -1),
@@ -55,12 +54,10 @@ def matricize(t: Tensor, row_labels: Sequence[str], col_labels: Sequence[str]) -
 
 
 def dematricize(m: Tensor, info: GroupInfo) -> Tensor:
-    """Inverse of :func:`matricize`; restores wire order and flavors."""
-    wires = info.row_wires + info.col_wires
-    data = m.data.reshape([w.dim for w in wires])
-    grouped = Tensor(data, wires)
-    perm = [grouped.axis(l) for l in info.original_labels]
-    return Tensor(np.transpose(grouped.data, perm), [wires[i] for i in perm])
+    """Inverse of :func:`matricize`; restores wire order and flavors.  It
+    is a :func:`permute` of ``m``'s data, read on the grouped wires, back
+    to the original label order."""
+    return permute(Tensor(m.data, info.row_wires + info.col_wires), info.original_labels)
 
 
 # -- singular value decomposition --------------------------------------

@@ -291,10 +291,16 @@ class TensorNetwork:
         return list(self._bonds)
 
     def _wire(self, end: End) -> WireSpec:
-        nid, label = end
-        t = self._nodes.get(nid)
-        if t is None:
-            raise WireError(f"no node {nid}")
+        """The wire at ``end``; ``WireError`` says what is wrong with a bad
+        end: not a (node id, label) pair, no such node, or no such label."""
+        try:
+            nid, label = end
+        except (TypeError, ValueError):
+            raise WireError(f"wire end {end!r} is not a (node id, label) pair") from None
+        try:
+            t = self._nodes[nid]
+        except (KeyError, TypeError):  # TypeError: an unhashable id is no node id either
+            raise WireError(f"no node {nid!r}") from None
         return t.wires[t.axis(label)]
 
     def connect(self, end_a: End, end_b: End) -> None:
@@ -532,19 +538,16 @@ def contract(a: Tensor, pairs: Iterable[tuple[str, str]], b: Tensor | None = Non
     otherwise both ends name wires of ``a`` (self-contraction).  Surviving
     wires keep their relative order, ``a``'s before ``b``'s, and a label
     already taken gets the first free suffix ``_1``, ``_2``, ...  ``connect``
-    checks each pair, and ``contract_all`` refuses a merge or result of
-    more than ``errors.MAX_ELEMENTS`` elements before it allocates.
+    checks every pair: it refuses a wire used twice ("wire already
+    bonded") and a wire paired with itself (both ends of one flavor).
+    ``contract_all`` refuses a merge or result of more than
+    ``errors.MAX_ELEMENTS`` elements before it allocates.
     """
     net = TensorNetwork()
     na = net.add(a)
     nb = na if b is None else net.add(b)
-    used: set[End] = set()
     for la, lb in pairs:
-        ends = (na, la), (nb, lb)
-        if ends[0] == ends[1] or not used.isdisjoint(ends):
-            raise WireError(f"wire reused in contraction pairs: ({la!r}, {lb!r})")
-        used.update(ends)
-        net.connect(*ends)
+        net.connect((na, la), (nb, lb))
     return net.contract_all()
 
 

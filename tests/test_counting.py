@@ -508,9 +508,9 @@ def test_shared_tensor_table_is_bounded_by_the_clause_widths():
             boolean_norm_value(f)  # ket and bra
 
     build_all(0)
-    size = len(tn.counting._SHARED)
+    size = tn.counting._piece.cache_info().currsize
     build_all(1)
-    assert len(tn.counting._SHARED) == size
+    assert tn.counting._piece.cache_info().currsize == size
 
 
 def test_shared_tensor_table_does_not_grow_with_clause_width():
@@ -521,7 +521,7 @@ def test_shared_tensor_table_does_not_grow_with_clause_width():
         clause = tuple(v if v % 2 else -v for v in range(1, width + 1))
         formula_to_network(tn.CnfFormula(width, [clause]))
         boolean_norm_value(tn.CnfFormula(width, [clause[:10]]))  # a bra too
-        sizes.append(len(tn.counting._SHARED))
+        sizes.append(tn.counting._piece.cache_info().currsize)
     assert sizes[0] == sizes[1] == sizes[2]
 
 
@@ -549,7 +549,7 @@ def test_clause_piece_table_is_bounded_over_widths_1_to_1000():
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(tn.counting._SHARED) <= 2 * (2 + 4 + 8 + 4 + 2 + 4)
+    assert tn.counting._piece.cache_info().currsize <= 2 * (2 + 4 + 8 + 4 + 2 + 4)
     assert grown < 64 * 1024, grown  # nothing kept per clause
 
 
@@ -715,3 +715,17 @@ def test_coloring_brute_force_guard():
     assert len(g.edges) == 21
     with pytest.raises(tn.SizeLimitError):
         tn.brute_force_colorings(g)
+
+
+@pytest.mark.parametrize("g, node, degree", [
+    (tn.Graph(2, [(0, 1)]), 0, 1),
+    (tn.Graph(4, K4.edges + [(0, 1)]), 0, 4),
+    (tn.Graph(3_000_000, []), 0, 0),
+])
+def test_coloring_brute_force_refuses_a_graph_that_is_not_3_regular(g, node, degree):
+    # it built an incidence list for every declared node, then unpacked each
+    # into three colours: a bare ValueError, after seconds for the large graph
+    start = time.perf_counter()
+    with pytest.raises(tn.ShapeError, match=f"graph is not 3-regular: node {node} has degree {degree}$"):
+        tn.brute_force_colorings(g)
+    assert time.perf_counter() - start < 1.0

@@ -71,6 +71,24 @@ def test_connect_messages():
         net.connect((c, "z"), (e, "v"))
 
 
+@pytest.mark.parametrize("end, message", [
+    ((0,), r"wire end \(0,\) is not a \(node id, label\) pair"),
+    ((0, "w0", 1), r"wire end \(0, 'w0', 1\) is not a \(node id, label\) pair"),
+    (5, r"wire end 5 is not a \(node id, label\) pair"),
+    (None, r"wire end None is not a \(node id, label\) pair"),
+    (([0], "w0"), r"no node \[0\]"),
+])
+def test_connect_names_a_malformed_wire_end(end, message):
+    net = tn.TensorNetwork()
+    a = net.add(tn.ket([1, 0]))
+    b = net.add(tn.bra([1, 0]))
+    with pytest.raises(tn.WireError, match=message):
+        net.connect(end, (b, "w0"))
+    with pytest.raises(tn.WireError, match=message):
+        net.connect((a, "w0"), end)
+    assert net.bonds == []
+
+
 def test_a_spider_wire_with_k_bonds_is_a_copy_tensor_with_k_legs():
     gen = np.random.default_rng(5)
     for k in range(1, 6):
